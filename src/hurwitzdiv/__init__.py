@@ -35,7 +35,7 @@ from .bigness import (
     verify_coarse,
     verify_stack,
 )
-from .errors import HypothesisError, InputError, ResourceError
+from .errors import HypothesisError, InputError, InvariantError, ResourceError
 from .hurwitz import (
     BoundaryIndex,
     HurwitzClass,
@@ -102,6 +102,7 @@ __all__ = [
     "InputError",
     "ResourceError",
     "HypothesisError",
+    "InvariantError",
     # partitions
     "Partition",
     "CycleTypeVector",

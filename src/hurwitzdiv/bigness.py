@@ -34,19 +34,13 @@ geometric hypotheses the verdict is conditional on.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisError, InputError
-from .hurwitz import (
-    BoundaryIndex,
-    boundary_index_set,
-    sharp_indicator,
-)
-from .lowslope import DivisorRecipe, avoided_gonality, best_recipe
-from .partitions import harmonic_inverse, lcm_of
+from .hurwitz import BoundaryIndex, boundary_index_set
+from .lowslope import DivisorRecipe, avoided_gonality, genus_recipe, recipe_for_degree
+from .partitions import Partition, PartitionRow, partition_table
 
 MODE_STACK = "Stack"
 MODE_COARSE = "Coarse"
@@ -77,6 +71,7 @@ _FEASIBILITY_NOTE = (
     "note: boundary indices use class-level feasibility (cover connectedness not "
     "imposed), a conservative superset of the nonempty divisors"
 )
+_ABSORBED_NOTE = "absorbed by ample term"
 
 
 @dataclass(frozen=True)
@@ -88,52 +83,83 @@ class SigmaDeltaBound:
     justification: str
 
 
+def _sigma_rule(mu: Partition, branch_component: bool) -> tuple[int, str]:
+    k = mu.weight
+    if mu.parts == (1,) * k:
+        return 2, JUSTIFICATION_TWO_NODES
+    if mu.parts == (2,) + (1,) * (k - 2):
+        if branch_component:
+            return 2, JUSTIFICATION_BRANCH_TWO_NODES
+        return 1, JUSTIFICATION_ONE_NODE
+    return 0, JUSTIFICATION_NONE
+
+
 def sigma_delta_lower_bound(index: BoundaryIndex, branch_component: bool = False) -> SigmaDeltaBound:
     """Asserted lower bound for the delta-pullback coefficient at an index.
 
     mu = (1^k) always gets 2; mu = (2, 1^(k-2)) gets 2 on its 2:1 branch
     component and 1 otherwise; everything else gets the trivial bound 0.
     """
-    mu = index.mu
-    k = mu.weight
-    if mu.parts == (1,) * k:
-        return SigmaDeltaBound(index, Fraction(2), JUSTIFICATION_TWO_NODES)
-    if mu.parts == (2,) + (1,) * (k - 2):
-        if branch_component:
-            return SigmaDeltaBound(index, Fraction(2), JUSTIFICATION_BRANCH_TWO_NODES)
-        return SigmaDeltaBound(index, Fraction(1), JUSTIFICATION_ONE_NODE)
-    return SigmaDeltaBound(index, Fraction(0), JUSTIFICATION_NONE)
+    bound, justification = _sigma_rule(index.mu, branch_component)
+    return SigmaDeltaBound(index, Fraction(bound), justification)
+
+
+@dataclass(frozen=True)
+class _MarginTerms:
+    """The constants of both margins at one partition mu, for one slope s.
+
+    With q = i(b-i)/(b-1), the stack margin at (i, mu) is
+    ``q_coeff * q + stack_rest``.  The coarse margin depends on mu alone:
+    every index has i >= 2, so `sharp` is 1 exactly when mu has a part 2.
+    """
+
+    m: int
+    q_coeff: Fraction  # m (1 - s/8)
+    stack_rest: Fraction  # -m - 1 + bound + (s/12) m (k - 1/mu)
+    stack_bound: Fraction
+    sharp: int
+    coarse_bound: Fraction
+    coarse_margin: Fraction  # -m - 1 + bound + (2/3) m (k - 1/mu) - sharp
+
+
+def _margin_terms(row: PartitionRow, k: int, s: Fraction) -> _MarginTerms:
+    m = row.lcm
+    sharp = 1 if row.twos else 0
+    stack_bound = _sigma_rule(row.mu, False)[0]
+    coarse_bound = _sigma_rule(row.mu, bool(sharp))[0]
+    # integer numerators over the denominators of s = p/q and 1/mu = u/w
+    p, q = s.numerator, s.denominator
+    u, w = row.harmonic.numerator, row.harmonic.denominator
+    degree = m * (k * w - u)  # m (k - 1/mu) = degree / w
+    return _MarginTerms(
+        m=m,
+        q_coeff=Fraction(m * (8 * q - p), 8 * q),
+        stack_rest=Fraction((stack_bound - m - 1) * 12 * q * w + p * degree, 12 * q * w),
+        stack_bound=Fraction(stack_bound),
+        sharp=sharp,
+        coarse_bound=Fraction(coarse_bound),
+        coarse_margin=Fraction((coarse_bound - m - 1 - sharp) * 3 * w + 2 * degree, 3 * w),
+    )
+
+
+def _check_slope(s: Fraction) -> Fraction:
+    s = Fraction(s)
+    if not 0 < s <= 8:
+        raise InputError(f"the slope must satisfy 0 < s <= 8, got {s}")
+    return s
 
 
 def stack_inequality_lhs(g: int, k: int, s: Fraction, index: BoundaryIndex) -> Fraction:
     """Exact stack margin at one boundary index for a slope-s divisor."""
-    s = Fraction(s)
-    if not 0 < s <= 8:
-        raise InputError(f"the slope must satisfy 0 < s <= 8, got {s}")
+    s = _check_slope(s)
     b = 2 * g + 2 * k - 2
-    mu = index.mu
-    m = lcm_of(mu)
-    bound = sigma_delta_lower_bound(index, branch_component=False).bound
-    return (
-        (1 - s / 8) * m * Fraction(index.i * (b - index.i), b - 1)
-        - m
-        - 1
-        + bound
-        + (s / 12) * m * (k - harmonic_inverse(mu))
-    )
+    terms = _margin_terms(PartitionRow.of(index.mu), k, s)
+    return terms.q_coeff * Fraction(index.i * (b - index.i), b - 1) + terms.stack_rest
 
 
 def coarse_inequality_lhs(g: int, k: int, index: BoundaryIndex) -> Fraction:
     """Exact coarse margin at one boundary index, in the slope-8 limit."""
-    mu = index.mu
-    m = lcm_of(mu)
-    sharp = sharp_indicator(index.i, mu)
-    bound = sigma_delta_lower_bound(index, branch_component=bool(sharp)).bound
-    return -m - 1 + bound + Fraction(2, 3) * m * (k - harmonic_inverse(mu)) - sharp
-
-
-def _kappa1_pullback_coefficient(b: int, index: BoundaryIndex) -> Fraction:
-    return lcm_of(index.mu) * Fraction((index.i - 1) * (b - index.i - 1), b - 1)
+    return _margin_terms(PartitionRow.of(index.mu), k, Fraction(8)).coarse_margin
 
 
 @dataclass(frozen=True)
@@ -187,39 +213,74 @@ def _check_recipe(g: int, k: int, recipe: DivisorRecipe) -> None:
         )
 
 
+def _margins(
+    g: int, k: int, s: Fraction, indices: list[BoundaryIndex], coarse: bool
+) -> tuple[tuple[IndexMargin, ...], Fraction]:
+    """Every margin of one mode and alpha, the least margin / kappa1 ratio.
+
+    Per partition the margin is a q + c with q = i(b-i)/(b-1) (a = 0 for the
+    coarse mode).  Over the common denominator D (b-1), D = den(a) den(c),
+    its numerator is n = P i(b-i) + R with P = num(a) den(c) and
+    R = num(c) den(a) (b-1).  The kappa1 pullback coefficient is
+    m (i-1)(b-i-1)/(b-1), so the alpha ratio at the index is
+    n / (D m (i-1)(b-i-1)); its denominator is positive, so ratios compare
+    by cross-multiplication and alpha becomes one Fraction at the end.
+    """
+    b = 2 * g + 2 * k - 2
+    rows: dict[tuple[int, ...], tuple] = {}
+    for row in partition_table(k):
+        terms = _margin_terms(row, k, s)
+        # a coarse row reuses the one margin Fraction of its partition
+        if coarse:
+            a, c, constant = Fraction(0), terms.coarse_margin, terms.coarse_margin
+            bound, sharp = terms.coarse_bound, terms.sharp
+            note = _ABSORBED_NOTE if constant == 0 else ""
+        else:
+            a, c, constant = terms.q_coeff, terms.stack_rest, None
+            bound, sharp, note = terms.stack_bound, 0, ""
+        den = a.denominator * c.denominator
+        rows[row.mu.parts] = (
+            a.numerator * c.denominator,
+            c.numerator * a.denominator * (b - 1),
+            den * (b - 1),
+            den * terms.m,
+            constant,
+            bound,
+            sharp,
+            note,
+        )
+    entries: list[IndexMargin] = []
+    best_num = best_den = None
+    for index in indices:
+        i = index.i
+        p, r, margin_den, ratio_den, constant, bound, sharp, note = rows[index.mu.parts]
+        num = p * i * (b - i) + r
+        ratio_den *= (i - 1) * (b - i - 1)
+        if best_num is None or num * best_den < best_num * ratio_den:
+            best_num, best_den = num, ratio_den
+        margin = constant if constant is not None else Fraction(num, margin_den)
+        entries.append(IndexMargin(index, margin, bound, sharp, note))
+    alpha = Fraction(0) if best_num is None else Fraction(best_num, best_den)
+    return tuple(entries), alpha
+
+
 def verify_stack(g: int, k: int, recipe: DivisorRecipe) -> BignessCertificate:
     """Certificate that the canonical class of the cover stack is big."""
-    boundary_index_set(g, k)  # validates g, k
+    indices = boundary_index_set(g, k)  # validates g, k
     _check_recipe(g, k, recipe)
-    s = recipe.slope
-    b = 2 * g + 2 * k - 2
-    entries: list[IndexMargin] = []
-    alpha: Fraction | None = None
-    for index in boundary_index_set(g, k):
-        margin = stack_inequality_lhs(g, k, s, index)
-        bound = sigma_delta_lower_bound(index, branch_component=False)
-        entries.append(
-            IndexMargin(
-                index=index,
-                margin=margin,
-                sigma_bound=bound.bound,
-                sharp=0,
-                note="",
-            )
-        )
-        ratio = margin / _kappa1_pullback_coefficient(b, index)
-        alpha = ratio if alpha is None else min(alpha, ratio)
-    alpha = alpha if alpha is not None else Fraction(0)
-    ok = all(entry.margin >= 0 for entry in entries) and alpha > 0
+    s = _check_slope(recipe.slope)
+    entries, alpha = _margins(g, k, s, indices, coarse=False)
+    # Each alpha ratio has the sign of its margin, so alpha > 0 also says
+    # that every margin is positive.
     return BignessCertificate(
         g=g,
         k=k,
         mode=MODE_STACK,
         slope_used=s,
-        per_index=tuple(entries),
+        per_index=entries,
         alpha=alpha,
         hypotheses=recipe.hypotheses + (_BOUNDS_NOTE, _DIRECT_MARGIN_NOTE, _FEASIBILITY_NOTE),
-        verdict=VERDICT_CERTIFIED if ok else VERDICT_FAILED,
+        verdict=VERDICT_CERTIFIED if alpha > 0 else VERDICT_FAILED,
     )
 
 
@@ -230,38 +291,20 @@ def coarse_range_ok(g: int, k: int) -> bool:
 
 def verify_coarse(g: int, k: int, recipe: DivisorRecipe) -> BignessCertificate:
     """Certificate that the canonical class of the coarse space is big."""
-    boundary_index_set(g, k)
+    indices = boundary_index_set(g, k)
     if not coarse_range_ok(g, k):
         raise HypothesisError(
             f"the coarse argument needs 3 <= k <= (g + 2)/2, got (g, k) = ({g}, {k})"
         )
     _check_recipe(g, k, recipe)
-    b = 2 * g + 2 * k - 2
-    entries: list[IndexMargin] = []
-    alpha: Fraction | None = None
-    for index in boundary_index_set(g, k):
-        sharp = sharp_indicator(index.i, index.mu)
-        bound = sigma_delta_lower_bound(index, branch_component=bool(sharp))
-        margin = coarse_inequality_lhs(g, k, index)
-        entries.append(
-            IndexMargin(
-                index=index,
-                margin=margin,
-                sigma_bound=bound.bound,
-                sharp=sharp,
-                note="absorbed by ample term" if margin == 0 else "",
-            )
-        )
-        ratio = margin / _kappa1_pullback_coefficient(b, index)
-        alpha = ratio if alpha is None else min(alpha, ratio)
-    alpha = alpha if alpha is not None else Fraction(0)
-    ok = all(entry.margin >= 0 for entry in entries)
+    entries, alpha = _margins(g, k, recipe.slope, indices, coarse=True)
+    # Each alpha ratio has the sign of its margin: alpha >= 0 iff no margin is negative.
     return BignessCertificate(
         g=g,
         k=k,
         mode=MODE_COARSE,
         slope_used=recipe.slope,
-        per_index=tuple(entries),
+        per_index=entries,
         alpha=alpha,
         hypotheses=recipe.hypotheses
         + (
@@ -271,7 +314,7 @@ def verify_coarse(g: int, k: int, recipe: DivisorRecipe) -> BignessCertificate:
             _FEASIBILITY_NOTE,
             _COARSE_LIMIT_NOTE,
         ),
-        verdict=VERDICT_CERTIFIED if ok else VERDICT_FAILED,
+        verdict=VERDICT_CERTIFIED if alpha >= 0 else VERDICT_FAILED,
     )
 
 
@@ -299,8 +342,7 @@ class ScanTable:
         return sum(1 for row in self.rows if row.coarse_verdict == VERDICT_CERTIFIED)
 
 
-def _scan_cell(g: int, k: int) -> ScanRow:
-    recipe = best_recipe(g, k) if g >= 4 else None
+def _scan_cell(g: int, k: int, recipe: DivisorRecipe | None) -> ScanRow:
     if recipe is None:
         coarse = VERDICT_NO_DIVISOR if coarse_range_ok(g, k) else "n/a"
         return ScanRow(g, k, "none", None, VERDICT_NO_DIVISOR, coarse, None)
@@ -320,11 +362,11 @@ def _scan_cell(g: int, k: int) -> ScanRow:
     )
 
 
-def scan(k_min: int, k_max: int, g_min: int, g_max: int, jobs: int | None = None) -> ScanTable:
+def scan(k_min: int, k_max: int, g_min: int, g_max: int) -> ScanTable:
     """Run the stack and coarse verifications over a rectangle of (g, k) cells.
 
-    Rows come back in deterministic (g, k) order regardless of how many
-    workers evaluate the (pure) cells.
+    Rows come back in (g, k) order.  The divisor of each genus is built once
+    and extended to every k of the rectangle.
     """
     for name, value in (("k_min", k_min), ("k_max", k_max), ("g_min", g_min), ("g_max", g_max)):
         if not isinstance(value, int):
@@ -335,12 +377,11 @@ def scan(k_min: int, k_max: int, g_min: int, g_max: int, jobs: int | None = None
         raise InputError(f"g_min must be at least 2, got {g_min}")
     if k_min <= k_max and k_min < 3:
         raise InputError(f"k_min must be at least 3, got {k_min}")
-    cells = [(g, k) for g in range(g_min, g_max + 1) for k in range(k_min, k_max + 1)]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(cells) <= 1:
-        rows = [_scan_cell(g, k) for g, k in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda cell: _scan_cell(*cell), cells))
+    genus_recipes: dict[int, DivisorRecipe | None] = {}
+    rows = []
+    for g in range(g_min, g_max + 1):
+        for k in range(k_min, k_max + 1):
+            if g not in genus_recipes:
+                genus_recipes[g] = genus_recipe(g) if g >= 4 else None
+            rows.append(_scan_cell(g, k, recipe_for_degree(genus_recipes[g], k)))
     return ScanTable(tuple(rows))

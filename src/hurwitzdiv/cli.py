@@ -6,7 +6,8 @@ classes   emit a divisor-class table (hodge, canonical-stack, canonical-coarse,
           branch-pullback, kappa1, canonical-m0b, weierstrass)
 divisor   emit a low-slope divisor recipe (even, odd, syzygy-g7)
 verify    run the bigness verification for the stack or the coarse space
-scan      run verifications over a (g, k) rectangle and emit a CSV table
+scan      run verifications over a (g, k) rectangle, one cell after another,
+          and emit a CSV table
 oracle    count transposition factorizations and compare with the
           feasibility criterion
 
@@ -25,6 +26,7 @@ import csv
 import io
 import os
 import sys
+from collections.abc import Callable
 
 from . import __version__
 from .bigness import (
@@ -96,21 +98,23 @@ def _require(args: argparse.Namespace, names: list[str], command: str) -> None:
             raise InputError(f"`{command}` requires --{name}")
 
 
-def _emit(args: argparse.Namespace, argv: list[str], payload_type: str, obj: dict,
-          csv_text: str, plain_text: str) -> None:
+def _emit(args: argparse.Namespace, argv: list[str], payload_type: str,
+          to_obj: Callable[[], dict], to_csv: Callable[[], str],
+          to_text: Callable[[], str]) -> None:
+    """Write the requested format; only its renderer is called."""
     if args.format == "json":
         envelope = {
             "command": "hurwitzdiv " + " ".join(argv),
             "format": args.format,
-            "payload": obj,
+            "payload": to_obj(),
             "payload_type": payload_type,
             "tool_version": __version__,
         }
         sys.stdout.write(dumps_canonical(envelope))
     elif args.format == "csv":
-        sys.stdout.write(csv_text)
+        sys.stdout.write(to_csv())
     else:
-        sys.stdout.write(plain_text)
+        sys.stdout.write(to_text())
 
 
 def _run_classes(args: argparse.Namespace, argv: list[str]) -> int:
@@ -127,8 +131,8 @@ def _run_classes(args: argparse.Namespace, argv: list[str]) -> int:
         else:
             _require(args, ["i"], "classes branch-pullback")
             cls = branch_pullback_boundary(args.g, args.k, args.i)
-        _emit(args, argv, "HurwitzClass", hurwitz_class_to_obj(cls),
-              hurwitz_class_csv(cls), hurwitz_class_text(cls))
+        _emit(args, argv, "HurwitzClass", lambda: hurwitz_class_to_obj(cls),
+              lambda: hurwitz_class_csv(cls), lambda: hurwitz_class_text(cls))
         return 0
     if subject in ("kappa1", "canonical-m0b"):
         _require(args, ["b"], "classes")
@@ -138,8 +142,8 @@ def _run_classes(args: argparse.Namespace, argv: list[str]) -> int:
         divisor = weierstrass_class(args.g)
     else:
         raise InputError(f"unknown classes subject {subject!r}")
-    _emit(args, argv, "DivisorClass", divisor_class_to_obj(divisor),
-          divisor_class_csv(divisor), divisor_class_text(divisor))
+    _emit(args, argv, "DivisorClass", lambda: divisor_class_to_obj(divisor),
+          lambda: divisor_class_csv(divisor), lambda: divisor_class_text(divisor))
     return 0
 
 
@@ -154,8 +158,8 @@ def _run_divisor(args: argparse.Namespace, argv: list[str]) -> int:
         if args.g is not None and args.g != 7:
             raise InputError("the syzygy divisor lives in genus 7")
         recipe = syzygy_divisor_g7()
-    _emit(args, argv, "DivisorRecipe", recipe_to_obj(recipe),
-          divisor_class_csv(recipe.divisor_class), recipe_text(recipe))
+    _emit(args, argv, "DivisorRecipe", lambda: recipe_to_obj(recipe),
+          lambda: divisor_class_csv(recipe.divisor_class), lambda: recipe_text(recipe))
     return 0
 
 
@@ -195,14 +199,14 @@ def _run_verify(args: argparse.Namespace, argv: list[str]) -> int:
             "verdict: NoDivisor (no built-in divisor of slope below 8 serves this cell)\n"
         )
         empty_csv = "i,mu,margin,sigma_bound,sharp,note\n"
-        _emit(args, argv, "BignessCertificate", obj, empty_csv, text)
+        _emit(args, argv, "BignessCertificate", lambda: obj, lambda: empty_csv, lambda: text)
         return 1
     if args.mode == "stack":
         cert = verify_stack(args.g, args.k, recipe)
     else:
         cert = verify_coarse(args.g, args.k, recipe)
-    _emit(args, argv, "BignessCertificate", certificate_to_obj(cert),
-          certificate_csv(cert), certificate_text(cert))
+    _emit(args, argv, "BignessCertificate", lambda: certificate_to_obj(cert),
+          lambda: certificate_csv(cert), lambda: certificate_text(cert))
     return 0 if cert.verdict == VERDICT_CERTIFIED else 1
 
 
@@ -211,7 +215,7 @@ def _run_scan(args: argparse.Namespace, argv: list[str]) -> int:
     g_min, g_max = args.g
     if k_min <= k_max:
         _check_k_cap(k_max)
-    table = scan(k_min, k_max, g_min, g_max, jobs=args.jobs)
+    table = scan(k_min, k_max, g_min, g_max)
     summary = (
         f"cells: {len(table.rows)}; certified stack: {table.certified_stack()}; "
         f"certified coarse: {table.certified_coarse()}\n"
@@ -225,8 +229,8 @@ def _run_scan(args: argparse.Namespace, argv: list[str]) -> int:
             return 3
         sys.stdout.write(summary)
         return 0
-    _emit(args, argv, "ScanTable", scan_table_to_obj(table),
-          scan_table_csv(table), scan_table_text(table))
+    _emit(args, argv, "ScanTable", lambda: scan_table_to_obj(table),
+          lambda: scan_table_csv(table), lambda: scan_table_text(table))
     sys.stderr.write(summary)
     return 0
 
@@ -258,7 +262,7 @@ def _run_oracle(args: argparse.Namespace, argv: list[str]) -> int:
         f"feasible: {feasible}\n"
         f"agree:    {obj['agree']}\n"
     )
-    _emit(args, argv, "OracleReport", obj, csv_text, text)
+    _emit(args, argv, "OracleReport", lambda: obj, lambda: csv_text, lambda: text)
     return 0
 
 
@@ -319,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--k", type=int, nargs=2, metavar=("K_MIN", "K_MAX"), required=True)
     p_scan.add_argument("--g", type=int, nargs=2, metavar=("G_MIN", "G_MAX"), required=True)
     p_scan.add_argument("--out", type=str, help="write the CSV table to this path")
-    p_scan.add_argument("--jobs", type=int, help="worker pool size (default: cpu count)")
     add_format(p_scan)
 
     p_oracle = sub.add_parser("oracle", help="count transposition factorizations")

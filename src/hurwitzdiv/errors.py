@@ -11,3 +11,7 @@ class ResourceError(RuntimeError):
 
 class HypothesisError(ValueError):
     """A verification was requested outside the hypotheses it needs."""
+
+
+class InvariantError(RuntimeError):
+    """Two independent computations of the same quantity disagree."""

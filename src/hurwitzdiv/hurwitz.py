@@ -18,9 +18,9 @@ main constructors:
   genus-0 target pulls back to sum_mu m(mu) E_{i:mu}.
 * ``ramification_class`` -- sum of (m(mu) - 1) E_{i:mu}.
 * ``canonical_class_stack`` -- the canonical class of the stack, with
-  coefficient  m(mu) * ( i(b-i)/(b-1) - 1 ) - 1;  it is asserted equal to
+  coefficient  m(mu) * ( i(b-i)/(b-1) - 1 ) - 1;  it is checked equal to
   the branch pullback of the genus-0 canonical class plus the ramification
-  class on every call.
+  class on every call (``InvariantError`` otherwise).
 * ``coarse_correction`` / ``canonical_class_coarse`` -- the coarse moduli
   space loses one unit along each boundary divisor whose generic cover has a
   component mapping 2:1 onto the degenerate target (mu containing a part 2);
@@ -34,15 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError
-from .partitions import (
-    Partition,
-    harmonic_inverse,
-    lcm_of,
-    partitions_of,
-    rev_lex_key,
-    transposition_feasible,
-)
+from .errors import InputError, InvariantError
+from .partitions import Partition, lcm_of, partition_table, rev_lex_key
 from .spaces import KIND_M0B, DivisorClass, canonical_class_m0b
 
 IndexKey = tuple[int, tuple[int, ...]]
@@ -88,18 +81,25 @@ def boundary_index_set(g: int, k: int) -> list[BoundaryIndex]:
     return list(_boundary_indices(g, k))
 
 
-@lru_cache(maxsize=None)
+# A scan visits each (g, k) once, so only the last few index sets are kept.
+_INDEX_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_INDEX_CACHE_SIZE)
 def _boundary_indices(g: int, k: int) -> tuple[BoundaryIndex, ...]:
     b = 2 * g + 2 * k - 2
+    rows = partition_table(k)
     out: list[BoundaryIndex] = []
     for i in range(2, b // 2 + 1):
-        for mu in partitions_of(k):
-            if transposition_feasible(mu, i) and transposition_feasible(mu, b - i):
-                out.append(BoundaryIndex(i, mu))
+        for row in rows:
+            # `transposition_feasible` for i and b - i: k >= 3, b is even and
+            # b - i >= i, so the condition for i implies the one for b - i.
+            if i >= row.drop and (i - row.drop) % 2 == 0:
+                out.append(BoundaryIndex(i, row.mu))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_INDEX_CACHE_SIZE)
 def _valid_index_keys(g: int, k: int) -> frozenset[IndexKey]:
     return frozenset(index.key for index in _boundary_indices(g, k))
 
@@ -181,14 +181,13 @@ class HurwitzClass:
 def hodge_class(g: int, k: int) -> HurwitzClass:
     """The Hodge class in boundary coordinates."""
     b = _check_gk(g, k)
+    rows = {row.mu.parts: row for row in partition_table(k)}
     coeffs: dict[IndexKey, Fraction] = {}
     for index in boundary_index_set(g, k):
-        mu = index.mu
-        value = lcm_of(mu) * (
-            Fraction(index.i * (b - index.i), 8 * (b - 1))
-            - Fraction(k - harmonic_inverse(mu), 12)
+        row = rows[index.mu.parts]
+        coeffs[index.key] = row.lcm * (
+            Fraction(index.i * (b - index.i), 8 * (b - 1)) - Fraction(k - row.harmonic, 12)
         )
-        coeffs[index.key] = value
     return HurwitzClass.make(g, k, coeffs)
 
 
@@ -232,9 +231,9 @@ def ramification_class(g: int, k: int) -> HurwitzClass:
 def canonical_class_stack(g: int, k: int) -> HurwitzClass:
     """Canonical class of the cover stack in boundary coordinates.
 
-    Computed from the closed form m(mu)(i(b-i)/(b-1) - 1) - 1 and asserted
+    Computed from the closed form m(mu)(i(b-i)/(b-1) - 1) - 1 and checked
     equal to branch pullback of the genus-0 canonical class plus the
-    ramification class.
+    ramification class; a mismatch raises InvariantError.
     """
     b = _check_gk(g, k)
     coeffs: dict[IndexKey, Fraction] = {}
@@ -243,7 +242,8 @@ def canonical_class_stack(g: int, k: int) -> HurwitzClass:
         coeffs[index.key] = m * (Fraction(index.i * (b - index.i), b - 1) - 1) - 1
     closed_form = HurwitzClass.make(g, k, coeffs)
     pipeline = branch_pullback(g, k, canonical_class_m0b(b)) + ramification_class(g, k)
-    assert closed_form == pipeline, "canonical class disagrees with pullback + ramification"
+    if closed_form != pipeline:
+        raise InvariantError("canonical class disagrees with pullback + ramification")
     return closed_form
 
 

@@ -18,9 +18,11 @@ are assumed, never verified here):
 * genus 7: the hyperplane pullback through the first-syzygy-point model, of
   slope 54/7, avoiding the 4-gonal locus.
 
-`best_recipe` picks the divisor serving a given (g, k) cell, recording the
-k-gonal avoidance hypothesis via the containment of gonality loci (a divisor
-missing the m-gonal locus misses every k-gonal locus with k >= m).
+`best_recipe` picks the divisor serving a given (g, k) cell in two steps:
+`genus_recipe` builds the divisor of the genus, and `recipe_for_degree`
+records the k-gonal avoidance hypothesis via the containment of gonality
+loci (a divisor missing the m-gonal locus misses every k-gonal locus with
+k >= m).  A scan builds each genus recipe once and extends it per k.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .pushpull import elliptic_tail_pullback, forgetful_pushforward, multiply
 from .spaces import (
     DivisorClass,
@@ -125,7 +127,8 @@ def second_hilbert_divisor(g: int) -> DivisorRecipe:
     for j in range(2, g // 2 + 1):
         direct_coeffs[f"delta_{j}"] = -scale
     direct = DivisorClass.make(space_mg(g), direct_coeffs)
-    assert pipeline == direct, "pseudo-stable pipeline disagrees with the direct expansion"
+    if pipeline != direct:
+        raise InvariantError("pseudo-stable pipeline disagrees with the direct expansion")
 
     return DivisorRecipe(
         name=RECIPE_HILBERT2,
@@ -157,7 +160,8 @@ def odd_genus_slope(g: int) -> Fraction:
         + Fraction(6, g + 1)
         + Fraction((5 * g - 1) * (5 * g**2 - 5 * g + 4), g * (g + 3) * (2 * g - 1) * (g + 1))
     )
-    assert first == second, "the two closed forms for the odd-genus slope disagree"
+    if first != second:
+        raise InvariantError("the two closed forms for the odd-genus slope disagree")
     return first
 
 
@@ -270,11 +274,58 @@ def user_divisor(g: int, s: Fraction, k: int) -> DivisorRecipe:
     )
 
 
+def genus_recipe(g: int, allow_conditional: bool = False) -> DivisorRecipe | None:
+    """The built-in divisor of genus g, before any k-specific hypothesis.
+
+    Even g >= 8 use the second-Hilbert divisor, odd g >= 15 the pushforward
+    divisor and g = 7 the syzygy divisor; with `allow_conditional`, the
+    third-Hilbert divisor covers the remaining g >= 8.  Any other genus has
+    no unconditional divisor of slope below 8 here and gets None.
+    """
+    if not isinstance(g, int) or g < 4:
+        raise InputError(f"g must be an integer >= 4, got {g!r}")
+    if g % 2 == 0 and g >= 8:
+        return second_hilbert_divisor(g)
+    if g % 2 == 1 and g >= 15:
+        return odd_genus_divisor(g)
+    if g == 7:
+        return syzygy_divisor_g7()
+    if allow_conditional and g >= 8:
+        return third_hilbert_divisor(g)
+    return None
+
+
+def recipe_for_degree(recipe: DivisorRecipe | None, k: int) -> DivisorRecipe | None:
+    """The genus recipe as it serves the (g, k) cell, or None if it does not.
+
+    A recipe serves k when the gonality it avoids is at most k; the syzygy
+    divisor is used only at k = 4.  For a larger k the k-gonal avoidance
+    line is appended to the hypotheses.
+    """
+    if not isinstance(k, int) or k < 3:
+        raise InputError(f"k must be an integer >= 3, got {k!r}")
+    if recipe is None or (recipe.name == RECIPE_SYZYGY_G7 and k != 4):
+        return None
+    base = avoided_gonality(recipe)
+    if base is None or base > k:
+        return None
+    if base == k:
+        return recipe
+    return DivisorRecipe(
+        name=recipe.name,
+        g=recipe.g,
+        divisor_class=recipe.divisor_class,
+        slope=recipe.slope,
+        hypotheses=recipe.hypotheses + _avoidance_hypotheses(base, k)[1:],
+    )
+
+
 def best_recipe(g: int, k: int, allow_conditional: bool = False) -> DivisorRecipe | None:
     """Pick the built-in divisor serving the (g, k) cell, if any.
 
-    Even g >= 8 use the second-Hilbert divisor, odd g >= 15 the pushforward
-    divisor, and (g, k) = (7, 4) the syzygy divisor; every other cell has no
+    `genus_recipe` followed by `recipe_for_degree`: even g >= 8 use the
+    second-Hilbert divisor, odd g >= 15 the pushforward divisor, and
+    (g, k) = (7, 4) the syzygy divisor; every other cell has no
     unconditional divisor of slope below 8 here and returns None.  With
     `allow_conditional`, the third-Hilbert divisor fills remaining cells with
     g >= 8 under its unproven hypothesis.
@@ -283,27 +334,4 @@ def best_recipe(g: int, k: int, allow_conditional: bool = False) -> DivisorRecip
         raise InputError(f"g must be an integer >= 4, got {g!r}")
     if not isinstance(k, int) or k < 3:
         raise InputError(f"k must be an integer >= 3, got {k!r}")
-    recipe: DivisorRecipe | None = None
-    if g % 2 == 0 and g >= 8:
-        recipe = second_hilbert_divisor(g)
-    elif g % 2 == 1 and g >= 15:
-        recipe = odd_genus_divisor(g)
-    elif (g, k) == (7, 4):
-        recipe = syzygy_divisor_g7()
-    elif allow_conditional and g >= 8:
-        recipe = third_hilbert_divisor(g)
-    if recipe is None:
-        return None
-    base = avoided_gonality(recipe)
-    if base is None or base > k:
-        return None
-    if base != k:
-        extra = _avoidance_hypotheses(base, k)[1]
-        recipe = DivisorRecipe(
-            name=recipe.name,
-            g=recipe.g,
-            divisor_class=recipe.divisor_class,
-            slope=recipe.slope,
-            hypotheses=recipe.hypotheses + (extra,),
-        )
-    return recipe
+    return recipe_for_degree(genus_recipe(g, allow_conditional), k)

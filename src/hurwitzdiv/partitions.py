@@ -103,15 +103,21 @@ def _partition_tuples(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _check_weight(k: int) -> None:
+    if not isinstance(k, int) or k < 1 or k > MAX_PARTITION_WEIGHT:
+        raise InputError(f"k must be an integer in [1, {MAX_PARTITION_WEIGHT}], got {k!r}")
+
+
 def partitions_of(k: int) -> list[Partition]:
     """All partitions of k in reverse-lexicographic order.
+
+    The Partition objects are shared with `partition_table(k)`.
 
     >>> [p.parts for p in partitions_of(4)]
     [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     """
-    if not isinstance(k, int) or k < 1 or k > MAX_PARTITION_WEIGHT:
-        raise InputError(f"k must be an integer in [1, {MAX_PARTITION_WEIGHT}], got {k!r}")
-    return [Partition(parts) for parts in _partition_tuples(k)]
+    _check_weight(k)
+    return [row.mu for row in _partition_table(k)]
 
 
 def lcm_of(mu: Partition) -> int:
@@ -122,6 +128,37 @@ def lcm_of(mu: Partition) -> int:
 def harmonic_inverse(mu: Partition) -> Fraction:
     """Exact harmonic sum 1/m_1 + ... + 1/m_l over the parts of mu."""
     return sum((Fraction(1, m) for m in mu.parts), Fraction(0))
+
+
+@dataclass(frozen=True)
+class PartitionRow:
+    """A partition of k together with the invariants every class formula reads.
+
+    `drop` is k - l(mu), the fewest transpositions with a product of type mu;
+    `twos` is the multiplicity of the part 2.
+    """
+
+    mu: Partition
+    lcm: int
+    harmonic: Fraction
+    drop: int
+    twos: int
+
+    @classmethod
+    def of(cls, mu: Partition) -> "PartitionRow":
+        return cls(mu, lcm_of(mu), harmonic_inverse(mu), mu.weight - mu.length,
+                   mu.multiplicity(2))
+
+
+@lru_cache(maxsize=16)
+def _partition_table(k: int) -> tuple[PartitionRow, ...]:
+    return tuple(PartitionRow.of(Partition(parts)) for parts in _partition_tuples(k))
+
+
+def partition_table(k: int) -> tuple[PartitionRow, ...]:
+    """One row per partition of k, in the order of `partitions_of(k)`."""
+    _check_weight(k)
+    return _partition_table(k)
 
 
 def contains_subpartition(mu: Partition, sub: Partition) -> bool:

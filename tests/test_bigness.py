@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hurwitzdiv import (
     HypothesisError,
     InputError,
     Partition,
+    ScanRow,
     best_recipe,
     boundary_index_set,
     coarse_inequality_lhs,
@@ -232,10 +234,27 @@ def test_scan_empty_range():
     assert scan(3, 3, 10, 6).rows == ()
 
 
-def test_scan_deterministic_and_parallel_consistent():
-    sequential = scan(3, 4, 6, 12, jobs=1)
-    parallel = scan(3, 4, 6, 12, jobs=4)
-    assert sequential == parallel
+def test_scan_rows_match_cellwise_verification():
+    # the scan reuses one recipe per genus; every row must equal the row
+    # assembled from best_recipe and the two verifications of its own cell
+    table = scan(3, 10, 6, 20)
+    assert [(row.g, row.k) for row in table.rows] == [
+        (g, k) for g in range(6, 21) for k in range(3, 11)
+    ]
+    for row in table.rows:
+        recipe = best_recipe(row.g, row.k)
+        if recipe is None:
+            coarse = "NoDivisor" if coarse_range_ok(row.g, row.k) else "n/a"
+            expected = ScanRow(row.g, row.k, "none", None, "NoDivisor", coarse, None)
+        else:
+            stack = verify_stack(row.g, row.k, recipe)
+            if coarse_range_ok(row.g, row.k):
+                coarse = verify_coarse(row.g, row.k, recipe).verdict
+            else:
+                coarse = "n/a"
+            expected = ScanRow(row.g, row.k, recipe.name, recipe.slope, stack.verdict,
+                               coarse, stack.min_margin())
+        assert row == expected
 
 
 def test_scan_range_limits():
@@ -245,3 +264,65 @@ def test_scan_range_limits():
         scan(3, 4, 6, 61)
     with pytest.raises(InputError):
         scan(2, 4, 6, 8)
+
+
+def _reference_certificate(g, k, s, coarse):
+    """Margins, alpha and verdict of one certificate from the closed forms.
+
+    Plain Fraction arithmetic per index, independent of the per-partition
+    integer kernel: rows of (key, margin, sigma bound, sharp), then alpha as
+    the least margin / kappa1-pullback ratio.
+    """
+    b = 2 * g + 2 * k - 2
+    rows = []
+    alpha = None
+    for index in boundary_index_set(g, k):
+        i, mu = index.i, index.mu.parts
+        m = math.lcm(*mu)
+        harmonic = sum(F(1, part) for part in mu)
+        sharp = 1 if coarse and any(i >= a for a in range(1, mu.count(2) + 1)) else 0
+        if mu == (1,) * k:
+            bound = 2
+        elif mu == (2,) + (1,) * (k - 2):
+            bound = 2 if sharp else 1
+        else:
+            bound = 0
+        if coarse:
+            margin = -m - 1 + bound + F(2, 3) * m * (k - harmonic) - sharp
+        else:
+            margin = (
+                (1 - s / 8) * m * F(i * (b - i), b - 1)
+                - m
+                - 1
+                + bound
+                + (s / 12) * m * (k - harmonic)
+            )
+        ratio = margin / (m * F((i - 1) * (b - i - 1), b - 1))
+        alpha = ratio if alpha is None else min(alpha, ratio)
+        rows.append((index.key, margin, F(bound), sharp))
+    ok = all(margin >= 0 for _, margin, _, _ in rows) and (coarse or alpha > 0)
+    return rows, alpha, "Certified" if ok else "Failed"
+
+
+def _kernel_cells():
+    for g in list(range(6, 21)) + [59, 60]:
+        for k in range(3, 11):
+            yield g, k
+    yield 200, 10
+
+
+def test_margin_kernel_matches_closed_forms():
+    for g, k in _kernel_cells():
+        recipe = best_recipe(g, k) or user_divisor(g, F(54, 7), k)
+        modes = [(False, verify_stack)]
+        if coarse_range_ok(g, k):
+            modes.append((True, verify_coarse))
+        for coarse, verify in modes:
+            cert = verify(g, k, recipe)
+            rows, alpha, verdict = _reference_certificate(g, k, recipe.slope, coarse)
+            got = [
+                (e.index.key, e.margin, e.sigma_bound, e.sharp) for e in cert.per_index
+            ]
+            assert got == rows, (g, k, coarse)
+            assert cert.alpha == alpha, (g, k, coarse)
+            assert cert.verdict == verdict, (g, k, coarse)

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hurwitzdiv
 from hurwitzdiv import (
     InputError,
     Partition,
@@ -164,6 +169,49 @@ def test_canonical_identity_pullback_plus_ramification():
             lhs = canonical_class_stack(g, k)
             rhs = branch_pullback(g, k, canonical_class_m0b(b)) + ramification_class(g, k)
             assert lhs == rhs
+
+
+_PERTURBED_INVARIANTS = """
+import sys
+import hurwitzdiv.hurwitz as hurwitz
+import hurwitzdiv.lowslope as lowslope
+from hurwitzdiv import InvariantError
+
+print("optimize", sys.flags.optimize)
+ramification = hurwitz.ramification_class
+hurwitz.ramification_class = lambda g, k: ramification(g, k) * 2
+pullback = lowslope.pseudostable_pullback
+lowslope.pseudostable_pullback = lambda divisor: pullback(divisor) * 2
+for name, check in (("canonical", lambda: hurwitz.canonical_class_stack(2, 3)),
+                    ("hilbert", lambda: lowslope.second_hilbert_divisor(8))):
+    try:
+        check()
+    except InvariantError as exc:
+        print(name, "raised", exc)
+    else:
+        print(name, "passed")
+"""
+
+
+def test_invariants_fire_under_optimize():
+    # the invariants are explicit raises, so `python -O` keeps them
+    src = str(Path(hurwitzdiv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _PERTURBED_INVARIANTS],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1] == (
+        "canonical raised canonical class disagrees with pullback + ramification"
+    )
+    assert lines[2] == (
+        "hilbert raised pseudo-stable pipeline disagrees with the direct expansion"
+    )
 
 
 def test_sharp_indicator():
