@@ -15,8 +15,10 @@ from hurwitzdiv import (
     ScanRow,
     best_recipe,
     boundary_index_set,
+    branch_pullback,
     coarse_inequality_lhs,
     coarse_range_ok,
+    kappa1_m0b,
     scan,
     second_hilbert_divisor,
     sigma_delta_lower_bound,
@@ -326,3 +328,13 @@ def test_margin_kernel_matches_closed_forms():
             assert got == rows, (g, k, coarse)
             assert cert.alpha == alpha, (g, k, coarse)
             assert cert.verdict == verdict, (g, k, coarse)
+
+
+def test_alpha_is_least_margin_over_kappa1_pullback():
+    # alpha is tied to the pulled-back kappa1 class of the genus-0 space
+    for g, k in ((8, 3), (15, 4), (16, 9), (31, 6), (60, 10)):
+        recipe = best_recipe(g, k)
+        kappa = branch_pullback(g, k, kappa1_m0b(2 * g + 2 * k - 2)).as_dict()
+        for cert in (verify_stack(g, k, recipe), verify_coarse(g, k, recipe)):
+            ratios = [e.margin / kappa[e.index.key] for e in cert.per_index]
+            assert cert.alpha == min(ratios), (g, k, cert.mode)

@@ -283,3 +283,38 @@ def test_hurwitz_class_arithmetic():
     assert (F(1, 2) * two_a) == a
     with pytest.raises(InputError):
         a + hodge_class(2, 4)
+
+
+def _nonzero(values):
+    return {key: value for key, value in values.items() if value}
+
+
+def test_classes_match_per_index_reference():
+    # every cover-space class against its formula written out one index at a time
+    for g in (2, 3, 5, 8, 13):
+        for k in range(3, 8):
+            b = 2 * g + 2 * k - 2
+            hodge, stack, ramification, correction, kappa = {}, {}, {}, {}, {}
+            for index in boundary_index_set(g, k):
+                i, parts = index.key
+                m = math.lcm(*parts)
+                q = F(i * (b - i), b - 1)
+                harmonic = sum(F(1, p) for p in parts)
+                hodge[index.key] = m * (q / 8 - (k - harmonic) / 12)
+                stack[index.key] = m * (q - 1) - 1
+                ramification[index.key] = F(m - 1)
+                correction[index.key] = F(-1 if 2 in parts else 0)
+                kappa[index.key] = m * F((i - 1) * (b - i - 1), b - 1)
+            marks = frozenset(_nonzero(correction))
+            coarse = {key: stack[key] + correction[key] for key in stack}
+            assert hodge_class(g, k).as_dict() == _nonzero(hodge), (g, k)
+            assert canonical_class_stack(g, k).as_dict() == _nonzero(stack), (g, k)
+            assert ramification_class(g, k).as_dict() == _nonzero(ramification), (g, k)
+            assert coarse_correction(g, k).as_dict() == _nonzero(correction), (g, k)
+            assert coarse_correction(g, k).branch_marks == marks, (g, k)
+            assert canonical_class_coarse(g, k).as_dict() == _nonzero(coarse), (g, k)
+            assert canonical_class_coarse(g, k).branch_marks == marks, (g, k)
+            assert branch_pullback(g, k, kappa1_m0b(b)).as_dict() == kappa, (g, k)
+            for i in (2, b // 2):
+                row = {key: F(math.lcm(*key[1])) for key in kappa if key[0] == i}
+                assert branch_pullback_boundary(g, k, i).as_dict() == row, (g, k, i)
