@@ -6,24 +6,20 @@ the k-gonal locus, the canonical class of the cover stack decomposes as
     K = alpha * (branch pullback of kappa1) + (pullback of s*lambda - delta) + E
 
 with alpha > 0 and E effective, provided one exact inequality holds per
-boundary index (i, mu).  With b = 2g + 2k - 2, m = lcm of the parts of mu,
-and 1/mu the harmonic sum, the stack-level left-hand side is
+boundary index (i, mu): the margin, the (i, mu) coefficient of
+K - s*lambda + sigma, is non-negative.  Here lambda is the Hodge class and
+sigma a lower bound for the coefficient of (i, mu) in the pullback of the
+total boundary delta: 2 for mu = (1^k) (the generic such cover degenerates
+with at least two nodes), 1 for mu = (2, 1^(k-2)), and 2 again on the 2:1
+branch components of the latter; 0 otherwise.  These multiplicity bounds are
+asserted inputs of the certificate, not verified.  K, lambda and the kappa1
+pullback are read from the per-partition table of :mod:`.hurwitz`: each is
+affine in q = i(b-i)/(b-1) on a partition, and so is every margin.
 
-    (1 - s/8) m i(b-i)/(b-1) - m - 1 + bound + (s/12) m (k - 1/mu),
-
-where `bound` is a lower bound for the coefficient of (i, mu) in the
-pullback of the total boundary delta: 2 for mu = (1^k) (the generic such
-cover degenerates with at least two nodes), 1 for mu = (2, 1^(k-2)), and 2
-again on the 2:1 branch components of the latter; 0 otherwise.  These
-multiplicity bounds are asserted inputs of the certificate, not verified.
-
-For the coarse moduli space the canonical class drops by 1 along each index
-whose cover has a 2:1 component over the degenerate target (the sharp
-indicator), and the inequality is evaluated in the limit s -> 8, where the
-i(b-i) term cancels:
-
-    - m - 1 + bound + (2/3) m (k - 1/mu) - sharp  >=  0.
-
+For the coarse moduli space K is the coarse canonical class, which drops by
+1 along each index whose cover has a 2:1 component over the degenerate
+target (the sharp indicator), and the margin is evaluated in the limit
+s -> 8, where the q terms cancel: a coarse margin depends on mu alone.
 Evaluating at the user's s < 8 instead would fail by an epsilon exactly at
 mu = (2^a, 1^(k-2a)) with a in {1, 2}; the limit is sound because the
 pulled-back kappa1 is strictly positive on every index and absorbs the zero
@@ -36,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import HypothesisError, InputError
-from .hurwitz import BoundaryIndex, boundary_index_set
+from .hurwitz import BoundaryIndex, _affine, _class_terms, boundary_index_set
 from .lowslope import DivisorRecipe, avoided_gonality, genus_recipe, recipe_for_degree
-from .partitions import Partition, PartitionRow, partition_table
 
 MODE_STACK = "Stack"
 MODE_COARSE = "Coarse"
@@ -56,6 +52,7 @@ JUSTIFICATION_BRANCH_TWO_NODES = "BranchComponentTwoNodes"
 
 MAX_SCAN_G = 60
 MAX_SCAN_K = 10
+_COARSE_SLOPE = Fraction(8)
 
 _BOUNDS_NOTE = (
     "note: boundary multiplicity lower bounds for the pulled-back total boundary are "
@@ -83,11 +80,11 @@ class SigmaDeltaBound:
     justification: str
 
 
-def _sigma_rule(mu: Partition, branch_component: bool) -> tuple[int, str]:
-    k = mu.weight
-    if mu.parts == (1,) * k:
+def _sigma_rule(parts: tuple[int, ...], branch_component: bool) -> tuple[int, str]:
+    k = sum(parts)
+    if parts == (1,) * k:
         return 2, JUSTIFICATION_TWO_NODES
-    if mu.parts == (2,) + (1,) * (k - 2):
+    if parts == (2,) + (1,) * (k - 2):
         if branch_component:
             return 2, JUSTIFICATION_BRANCH_TWO_NODES
         return 1, JUSTIFICATION_ONE_NODE
@@ -100,46 +97,37 @@ def sigma_delta_lower_bound(index: BoundaryIndex, branch_component: bool = False
     mu = (1^k) always gets 2; mu = (2, 1^(k-2)) gets 2 on its 2:1 branch
     component and 1 otherwise; everything else gets the trivial bound 0.
     """
-    bound, justification = _sigma_rule(index.mu, branch_component)
+    bound, justification = _sigma_rule(index.mu.parts, branch_component)
     return SigmaDeltaBound(index, Fraction(bound), justification)
 
 
-@dataclass(frozen=True)
-class _MarginTerms:
-    """The constants of both margins at one partition mu, for one slope s.
+def _margin_row(table: dict, mu: tuple[int, ...], s: Fraction, coarse: bool) -> tuple:
+    """The margin K - s*lambda + sigma at the indices of partition mu.
 
-    With q = i(b-i)/(b-1), the stack margin at (i, mu) is
-    ``q_coeff * q + stack_rest``.  The coarse margin depends on mu alone:
-    every index has i >= 2, so `sharp` is 1 exactly when mu has a part 2.
+    A row holds the (a, c) of the margin, the (a, c) of the kappa1 pullback,
+    sigma, the sharp flag and the note.  K is the stack canonical class, plus
+    the coarse correction in the coarse mode.
     """
+    (ka, kc), (la, lc), sharp = table["stack"][mu], table["hodge"][mu], 0
+    if coarse:
+        ca, cc = table["coarse"][mu]
+        # the coarse correction is -1 exactly at the sharp partitions
+        ka, kc, sharp = ka + ca, kc + cc, -cc
+    bound = _sigma_rule(mu, bool(sharp))[0]
+    c = kc - s * lc + bound
+    note = _ABSORBED_NOTE if coarse and c == 0 else ""
+    return (ka - s * la, c, table["kappa1"][mu], Fraction(bound), sharp, note)
 
-    m: int
-    q_coeff: Fraction  # m (1 - s/8)
-    stack_rest: Fraction  # -m - 1 + bound + (s/12) m (k - 1/mu)
-    stack_bound: Fraction
-    sharp: int
-    coarse_bound: Fraction
-    coarse_margin: Fraction  # -m - 1 + bound + (2/3) m (k - 1/mu) - sharp
+
+def _margin_rows(k: int, s: Fraction, coarse: bool) -> dict[tuple[int, ...], tuple]:
+    table = _class_terms(k)
+    return {mu: _margin_row(table, mu, s, coarse) for mu in table["stack"]}
 
 
-def _margin_terms(row: PartitionRow, k: int, s: Fraction) -> _MarginTerms:
-    m = row.lcm
-    sharp = 1 if row.twos else 0
-    stack_bound = _sigma_rule(row.mu, False)[0]
-    coarse_bound = _sigma_rule(row.mu, bool(sharp))[0]
-    # integer numerators over the denominators of s = p/q and 1/mu = u/w
-    p, q = s.numerator, s.denominator
-    u, w = row.harmonic.numerator, row.harmonic.denominator
-    degree = m * (k * w - u)  # m (k - 1/mu) = degree / w
-    return _MarginTerms(
-        m=m,
-        q_coeff=Fraction(m * (8 * q - p), 8 * q),
-        stack_rest=Fraction((stack_bound - m - 1) * 12 * q * w + p * degree, 12 * q * w),
-        stack_bound=Fraction(stack_bound),
-        sharp=sharp,
-        coarse_bound=Fraction(coarse_bound),
-        coarse_margin=Fraction((coarse_bound - m - 1 - sharp) * 3 * w + 2 * degree, 3 * w),
-    )
+@lru_cache(maxsize=16)
+def _coarse_rows(k: int) -> dict[tuple[int, ...], tuple]:
+    """The coarse rows, in the slope-8 limit: a = 0 there, so they depend on k alone."""
+    return _margin_rows(k, _COARSE_SLOPE, coarse=True)
 
 
 def _check_slope(s: Fraction) -> Fraction:
@@ -149,17 +137,22 @@ def _check_slope(s: Fraction) -> Fraction:
     return s
 
 
+def _margin_at(g: int, k: int, s: Fraction, index: BoundaryIndex, coarse: bool) -> Fraction:
+    if index.mu.weight != k:
+        raise InputError(f"mu = {index.mu} is not a partition of k = {k}")
+    b = 2 * g + 2 * k - 2
+    a, c = _margin_row(_class_terms(k), index.mu.parts, s, coarse)[:2]
+    return a * Fraction(index.i * (b - index.i), b - 1) + c
+
+
 def stack_inequality_lhs(g: int, k: int, s: Fraction, index: BoundaryIndex) -> Fraction:
     """Exact stack margin at one boundary index for a slope-s divisor."""
-    s = _check_slope(s)
-    b = 2 * g + 2 * k - 2
-    terms = _margin_terms(PartitionRow.of(index.mu), k, s)
-    return terms.q_coeff * Fraction(index.i * (b - index.i), b - 1) + terms.stack_rest
+    return _margin_at(g, k, _check_slope(s), index, coarse=False)
 
 
 def coarse_inequality_lhs(g: int, k: int, index: BoundaryIndex) -> Fraction:
     """Exact coarse margin at one boundary index, in the slope-8 limit."""
-    return _margin_terms(PartitionRow.of(index.mu), k, Fraction(8)).coarse_margin
+    return _margin_at(g, k, _COARSE_SLOPE, index, coarse=True)
 
 
 @dataclass(frozen=True)
@@ -214,74 +207,36 @@ def _check_recipe(g: int, k: int, recipe: DivisorRecipe) -> None:
 
 
 def _margins(
-    g: int, k: int, s: Fraction, indices: list[BoundaryIndex], coarse: bool
+    g: int, k: int, indices: list[BoundaryIndex], margin_rows: dict[tuple[int, ...], tuple]
 ) -> tuple[tuple[IndexMargin, ...], Fraction]:
     """Every margin of one mode and alpha, the least margin / kappa1 ratio.
 
-    Per partition the margin is a q + c with q = i(b-i)/(b-1) (a = 0 for the
-    coarse mode).  Over the common denominator D (b-1), D = den(a) den(c),
-    its numerator is n = P i(b-i) + R with P = num(a) den(c) and
-    R = num(c) den(a) (b-1).  The kappa1 pullback coefficient is
-    m (i-1)(b-i-1)/(b-1), so the alpha ratio at the index is
-    n / (D m (i-1)(b-i-1)); its denominator is positive, so ratios compare
-    by cross-multiplication and alpha becomes one Fraction at the end.
+    With x = i(b-i), the margin at an index of a partition is (p x + r)/d
+    and the kappa1 pullback is (kp x + kr)/kd, integers from `_affine`.
+    kappa1 is positive at every index, so the alpha ratio
+    (p x + r) kd / (d (kp x + kr)) has a positive denominator; ratios
+    compare by cross-multiplication and alpha becomes one Fraction at the end.
     """
     b = 2 * g + 2 * k - 2
     rows: dict[tuple[int, ...], tuple] = {}
-    for row in partition_table(k):
-        terms = _margin_terms(row, k, s)
-        # a coarse row reuses the one margin Fraction of its partition
-        if coarse:
-            a, c, constant = Fraction(0), terms.coarse_margin, terms.coarse_margin
-            bound, sharp = terms.coarse_bound, terms.sharp
-            note = _ABSORBED_NOTE if constant == 0 else ""
-        else:
-            a, c, constant = terms.q_coeff, terms.stack_rest, None
-            bound, sharp, note = terms.stack_bound, 0, ""
-        den = a.denominator * c.denominator
-        rows[row.mu.parts] = (
-            a.numerator * c.denominator,
-            c.numerator * a.denominator * (b - 1),
-            den * (b - 1),
-            den * terms.m,
-            constant,
-            bound,
-            sharp,
-            note,
-        )
+    for parts, (a, c, kappa1, bound, sharp, note) in margin_rows.items():
+        p, r, d = _affine(a, c, b)
+        kp, kr, kd = _affine(*kappa1, b)
+        # a row with a = 0 reuses the one margin Fraction of its partition
+        rows[parts] = (p, r, d, kd, d * kp, d * kr, None if a else c, bound, sharp, note)
     entries: list[IndexMargin] = []
     best_num = best_den = None
     for index in indices:
-        i = index.i
-        p, r, margin_den, ratio_den, constant, bound, sharp, note = rows[index.mu.parts]
-        num = p * i * (b - i) + r
-        ratio_den *= (i - 1) * (b - i - 1)
-        if best_num is None or num * best_den < best_num * ratio_den:
-            best_num, best_den = num, ratio_den
-        margin = constant if constant is not None else Fraction(num, margin_den)
+        p, r, d, kd, dkp, dkr, constant, bound, sharp, note = rows[index.mu.parts]
+        x = index.i * (b - index.i)
+        num = p * x + r
+        ratio_num, ratio_den = num * kd, dkp * x + dkr
+        if best_num is None or ratio_num * best_den < best_num * ratio_den:
+            best_num, best_den = ratio_num, ratio_den
+        margin = constant if constant is not None else Fraction(num, d)
         entries.append(IndexMargin(index, margin, bound, sharp, note))
     alpha = Fraction(0) if best_num is None else Fraction(best_num, best_den)
     return tuple(entries), alpha
-
-
-def verify_stack(g: int, k: int, recipe: DivisorRecipe) -> BignessCertificate:
-    """Certificate that the canonical class of the cover stack is big."""
-    indices = boundary_index_set(g, k)  # validates g, k
-    _check_recipe(g, k, recipe)
-    s = _check_slope(recipe.slope)
-    entries, alpha = _margins(g, k, s, indices, coarse=False)
-    # Each alpha ratio has the sign of its margin, so alpha > 0 also says
-    # that every margin is positive.
-    return BignessCertificate(
-        g=g,
-        k=k,
-        mode=MODE_STACK,
-        slope_used=s,
-        per_index=entries,
-        alpha=alpha,
-        hypotheses=recipe.hypotheses + (_BOUNDS_NOTE, _DIRECT_MARGIN_NOTE, _FEASIBILITY_NOTE),
-        verdict=VERDICT_CERTIFIED if alpha > 0 else VERDICT_FAILED,
-    )
 
 
 def coarse_range_ok(g: int, k: int) -> bool:
@@ -289,33 +244,46 @@ def coarse_range_ok(g: int, k: int) -> bool:
     return 3 <= k and 2 * k <= g + 2
 
 
-def verify_coarse(g: int, k: int, recipe: DivisorRecipe) -> BignessCertificate:
-    """Certificate that the canonical class of the coarse space is big."""
-    indices = boundary_index_set(g, k)
-    if not coarse_range_ok(g, k):
+def _verify(g: int, k: int, recipe: DivisorRecipe, mode: str) -> BignessCertificate:
+    indices = boundary_index_set(g, k)  # validates g, k
+    coarse = mode == MODE_COARSE
+    if coarse and not coarse_range_ok(g, k):
         raise HypothesisError(
             f"the coarse argument needs 3 <= k <= (g + 2)/2, got (g, k) = ({g}, {k})"
         )
     _check_recipe(g, k, recipe)
-    entries, alpha = _margins(g, k, recipe.slope, indices, coarse=True)
-    # Each alpha ratio has the sign of its margin: alpha >= 0 iff no margin is negative.
+    s = _check_slope(recipe.slope)
+    rows = _coarse_rows(k) if coarse else _margin_rows(k, s, coarse=False)
+    entries, alpha = _margins(g, k, indices, rows)
+    notes = (_BOUNDS_NOTE, _DIRECT_MARGIN_NOTE, _FEASIBILITY_NOTE)
+    if coarse:
+        finite = (
+            f"the cover-to-curve map is generically finite onto the {k}-gonal locus (assumed)"
+        )
+        notes = (finite,) + notes + (_COARSE_LIMIT_NOTE,)
+    # Each alpha ratio has the sign of its margin: alpha > 0 iff every margin
+    # is positive, alpha >= 0 iff none is negative.
+    certified = alpha >= 0 if coarse else alpha > 0
     return BignessCertificate(
         g=g,
         k=k,
-        mode=MODE_COARSE,
-        slope_used=recipe.slope,
+        mode=mode,
+        slope_used=s,
         per_index=entries,
         alpha=alpha,
-        hypotheses=recipe.hypotheses
-        + (
-            f"the cover-to-curve map is generically finite onto the {k}-gonal locus (assumed)",
-            _BOUNDS_NOTE,
-            _DIRECT_MARGIN_NOTE,
-            _FEASIBILITY_NOTE,
-            _COARSE_LIMIT_NOTE,
-        ),
-        verdict=VERDICT_CERTIFIED if alpha >= 0 else VERDICT_FAILED,
+        hypotheses=recipe.hypotheses + notes,
+        verdict=VERDICT_CERTIFIED if certified else VERDICT_FAILED,
     )
+
+
+def verify_stack(g: int, k: int, recipe: DivisorRecipe) -> BignessCertificate:
+    """Certificate that the canonical class of the cover stack is big."""
+    return _verify(g, k, recipe, MODE_STACK)
+
+
+def verify_coarse(g: int, k: int, recipe: DivisorRecipe) -> BignessCertificate:
+    """Certificate that the canonical class of the coarse space is big."""
+    return _verify(g, k, recipe, MODE_COARSE)
 
 
 @dataclass(frozen=True)

@@ -201,10 +201,8 @@ def _run_verify(args: argparse.Namespace, argv: list[str]) -> int:
         empty_csv = "i,mu,margin,sigma_bound,sharp,note\n"
         _emit(args, argv, "BignessCertificate", lambda: obj, lambda: empty_csv, lambda: text)
         return 1
-    if args.mode == "stack":
-        cert = verify_stack(args.g, args.k, recipe)
-    else:
-        cert = verify_coarse(args.g, args.k, recipe)
+    verify = verify_stack if args.mode == "stack" else verify_coarse
+    cert = verify(args.g, args.k, recipe)
     _emit(args, argv, "BignessCertificate", lambda: certificate_to_obj(cert),
           lambda: certificate_csv(cert), lambda: certificate_text(cert))
     return 0 if cert.verdict == VERDICT_CERTIFIED else 1

@@ -7,25 +7,28 @@ rational components with i branch points on one side, and the fibre over the
 node has partition type mu.  Feasibility demands that a permutation of cycle
 type mu factor into i transpositions on one side and b - i on the other.
 
-Classes here are sparse exact-rational vectors over that index set.  The
-main constructors:
+Classes here are sparse exact-rational vectors over that index set.  Every
+class built here is affine in q = i(b-i)/(b-1) on each partition: its
+coefficient at (i, mu) is a q + c, with (a, c) read from one table per k.
+With m = m(mu) the lcm of the parts and 1/mu the harmonic sum:
 
-* ``hodge_class`` -- the Hodge class in boundary coordinates, with
-  coefficient  m(mu) * ( i(b-i) / (8(b-1)) - (k - 1/mu)/12 )  at (i, mu),
-  where m(mu) is the lcm of the parts and 1/mu the harmonic sum.
-* ``branch_pullback`` -- pullback along the branch-point map, which is
-  ramified with order m(mu) along E_{i:mu}; the boundary divisor B_i of the
-  genus-0 target pulls back to sum_mu m(mu) E_{i:mu}.
-* ``ramification_class`` -- sum of (m(mu) - 1) E_{i:mu}.
-* ``canonical_class_stack`` -- the canonical class of the stack, with
-  coefficient  m(mu) * ( i(b-i)/(b-1) - 1 ) - 1;  it is checked equal to
-  the branch pullback of the genus-0 canonical class plus the ramification
-  class on every call (``InvariantError`` otherwise).
-* ``coarse_correction`` / ``canonical_class_coarse`` -- the coarse moduli
-  space loses one unit along each boundary divisor whose generic cover has a
-  component mapping 2:1 onto the degenerate target (mu containing a part 2);
-  the correction is bookkept as a -1 per affected index, carried on the
-  branch-component marker.
+    class                      a       c
+    Hodge                      m/8     -m (k - 1/mu)/12
+    canonical class (stack)    m       -m - 1
+    ramification               0       m - 1
+    coarse correction          0       -sharp(mu)
+    kappa1 pullback            m       -m
+
+Each constructor expands its row of the table over the index set.
+``canonical_class_stack`` also checks its expansion against the branch
+pullback of the genus-0 canonical class plus the ramification class on every
+call (``InvariantError`` otherwise).  ``branch_pullback`` pulls any genus-0
+boundary class back along the branch-point map, which is ramified with order
+m(mu) along E_{i:mu}; the kappa1 row, read by the bigness margins, is the
+pullback of kappa1.  The coarse moduli space loses one unit along each
+boundary divisor whose generic cover has a component mapping 2:1 onto the
+degenerate target (mu containing a part 2); those indices carry the
+branch-component marker.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from functools import lru_cache
 
 from .errors import InputError, InvariantError
 from .partitions import Partition, lcm_of, partition_table, rev_lex_key
-from .spaces import KIND_M0B, DivisorClass, canonical_class_m0b
+from .spaces import KIND_M0B, DivisorClass, Rational, canonical_class_m0b, space_m0b
 
 IndexKey = tuple[int, tuple[int, ...]]
 
@@ -141,11 +144,7 @@ class HurwitzClass:
         return cls(g, k, ordered, marks)
 
     def coefficient(self, i: int, mu: Partition) -> Fraction:
-        key = (i, mu.parts)
-        for item_key, value in self.coeffs:
-            if item_key == key:
-                return value
-        return Fraction(0)
+        return self.as_dict().get((i, mu.parts), Fraction(0))
 
     def as_dict(self) -> dict[IndexKey, Fraction]:
         return dict(self.coeffs)
@@ -178,17 +177,47 @@ class HurwitzClass:
     __rmul__ = __mul__
 
 
+@lru_cache(maxsize=16)
+def _class_terms(k: int) -> dict[str, dict[tuple[int, ...], tuple[Rational, Rational]]]:
+    """table[class][mu] = (a, c) for every partition mu of k; see the module docstring.
+
+    Integral terms stay ints, which have a numerator and a denominator too.
+    """
+    table: dict = {"hodge": {}, "stack": {}, "ramification": {}, "coarse": {}, "kappa1": {}}
+    for row in partition_table(k):
+        m, mu = row.lcm, row.mu.parts
+        table["hodge"][mu] = (Fraction(m, 8), -m * (k - row.harmonic) / 12)
+        table["stack"][mu] = (m, -m - 1)
+        table["ramification"][mu] = (0, m - 1)
+        # every boundary index has i >= 2, where the sharp rule depends on mu alone
+        table["coarse"][mu] = (0, -sharp_indicator(2, row.mu))
+        table["kappa1"][mu] = (m, -m)
+    return table
+
+
+def _affine(a: Rational, c: Rational, b: int) -> tuple[int, int, int]:
+    """Integers (P, R, D) with a q + c = (P i(b-i) + R) / D for q = i(b-i)/(b-1)."""
+    return (
+        a.numerator * c.denominator,
+        c.numerator * a.denominator * (b - 1),
+        a.denominator * c.denominator * (b - 1),
+    )
+
+
+def _expand(g: int, k: int, name: str) -> dict[IndexKey, Fraction]:
+    """The coefficients of one row of the table at every boundary index."""
+    b = _check_gk(g, k)
+    affine = {mu: _affine(a, c, b) for mu, (a, c) in _class_terms(k)[name].items()}
+    coeffs: dict[IndexKey, Fraction] = {}
+    for index in _boundary_indices(g, k):
+        p, r, d = affine[index.mu.parts]
+        coeffs[index.key] = Fraction(p * index.i * (b - index.i) + r, d)
+    return coeffs
+
+
 def hodge_class(g: int, k: int) -> HurwitzClass:
     """The Hodge class in boundary coordinates."""
-    b = _check_gk(g, k)
-    rows = {row.mu.parts: row for row in partition_table(k)}
-    coeffs: dict[IndexKey, Fraction] = {}
-    for index in boundary_index_set(g, k):
-        row = rows[index.mu.parts]
-        coeffs[index.key] = row.lcm * (
-            Fraction(index.i * (b - index.i), 8 * (b - 1)) - Fraction(k - row.harmonic, 12)
-        )
-    return HurwitzClass.make(g, k, coeffs)
+    return HurwitzClass.make(g, k, _expand(g, k, "hodge"))
 
 
 def branch_pullback_boundary(g: int, k: int, i: int) -> HurwitzClass:
@@ -196,11 +225,7 @@ def branch_pullback_boundary(g: int, k: int, i: int) -> HurwitzClass:
     b = _check_gk(g, k)
     if not isinstance(i, int) or i < 2 or i > b // 2:
         raise InputError(f"i must be an integer in [2, {b // 2}], got {i!r}")
-    coeffs: dict[IndexKey, Fraction] = {}
-    for index in boundary_index_set(g, k):
-        if index.i == i:
-            coeffs[index.key] = Fraction(lcm_of(index.mu))
-    return HurwitzClass.make(g, k, coeffs)
+    return branch_pullback(g, k, DivisorClass.make(space_m0b(b), {f"B_{i}": 1}))
 
 
 def branch_pullback(g: int, k: int, divisor: DivisorClass) -> HurwitzClass:
@@ -211,9 +236,10 @@ def branch_pullback(g: int, k: int, divisor: DivisorClass) -> HurwitzClass:
             f"the class must live on {KIND_M0B}(b={b}) for (g, k) = ({g}, {k}), "
             f"got {divisor.space}"
         )
+    values = divisor.as_dict()
     coeffs: dict[IndexKey, Fraction] = {}
-    for index in boundary_index_set(g, k):
-        c = divisor.coefficient(f"B_{index.i}")
+    for index in _boundary_indices(g, k):
+        c = values.get(f"B_{index.i}")
         if c:
             coeffs[index.key] = c * lcm_of(index.mu)
     return HurwitzClass.make(g, k, coeffs)
@@ -221,51 +247,35 @@ def branch_pullback(g: int, k: int, divisor: DivisorClass) -> HurwitzClass:
 
 def ramification_class(g: int, k: int) -> HurwitzClass:
     """Ramification divisor of the branch-point map: sum (m(mu) - 1) E_{i:mu}."""
-    _check_gk(g, k)
-    coeffs: dict[IndexKey, Fraction] = {}
-    for index in boundary_index_set(g, k):
-        coeffs[index.key] = Fraction(lcm_of(index.mu) - 1)
-    return HurwitzClass.make(g, k, coeffs)
+    return HurwitzClass.make(g, k, _expand(g, k, "ramification"))
 
 
 def canonical_class_stack(g: int, k: int) -> HurwitzClass:
     """Canonical class of the cover stack in boundary coordinates.
 
-    Computed from the closed form m(mu)(i(b-i)/(b-1) - 1) - 1 and checked
-    equal to branch pullback of the genus-0 canonical class plus the
+    Checked equal to branch pullback of the genus-0 canonical class plus the
     ramification class; a mismatch raises InvariantError.
     """
     b = _check_gk(g, k)
-    coeffs: dict[IndexKey, Fraction] = {}
-    for index in boundary_index_set(g, k):
-        m = lcm_of(index.mu)
-        coeffs[index.key] = m * (Fraction(index.i * (b - index.i), b - 1) - 1) - 1
-    closed_form = HurwitzClass.make(g, k, coeffs)
+    table = HurwitzClass.make(g, k, _expand(g, k, "stack"))
     pipeline = branch_pullback(g, k, canonical_class_m0b(b)) + ramification_class(g, k)
-    if closed_form != pipeline:
+    if table != pipeline:
         raise InvariantError("canonical class disagrees with pullback + ramification")
-    return closed_form
+    return table
 
 
 def sharp_indicator(i: int, mu: Partition) -> int:
-    """1 iff (i, mu) supports a 2:1 branch component: some (2^a) <= mu with i >= a."""
-    twos = mu.multiplicity(2)
-    return 1 if any(i >= a for a in range(1, twos + 1)) else 0
+    """1 iff (i, mu) supports a 2:1 branch component: some (2^a) <= mu with 1 <= a <= i."""
+    return 1 if i >= 1 and 2 in mu.parts else 0
 
 
 def coarse_correction(g: int, k: int) -> HurwitzClass:
     """Stack-to-coarse canonical correction: -1 on each branch-marked index."""
-    _check_gk(g, k)
-    coeffs: dict[IndexKey, Fraction] = {}
-    marks: set[IndexKey] = set()
-    for index in boundary_index_set(g, k):
-        if sharp_indicator(index.i, index.mu):
-            coeffs[index.key] = Fraction(-1)
-            marks.add(index.key)
+    coeffs = _expand(g, k, "coarse")
+    marks = {key for key, value in coeffs.items() if value}
     return HurwitzClass.make(g, k, coeffs, marks)
 
 
 def canonical_class_coarse(g: int, k: int) -> HurwitzClass:
     """Canonical class of the coarse moduli space: stack class plus correction."""
-    _check_gk(g, k)
     return canonical_class_stack(g, k) + coarse_correction(g, k)

@@ -189,7 +189,7 @@ def odd_genus_divisor(g: int) -> DivisorRecipe:
     )
     s = slope(pushed)
     if s is None:
-        raise AssertionError("the pushforward divisor has an undefined slope")
+        raise InvariantError("the pushforward divisor has an undefined slope")
     return DivisorRecipe(
         name=RECIPE_ODD_PUSHFORWARD,
         g=g,

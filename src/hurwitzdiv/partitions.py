@@ -134,20 +134,17 @@ def harmonic_inverse(mu: Partition) -> Fraction:
 class PartitionRow:
     """A partition of k together with the invariants every class formula reads.
 
-    `drop` is k - l(mu), the fewest transpositions with a product of type mu;
-    `twos` is the multiplicity of the part 2.
+    `drop` is k - l(mu), the fewest transpositions with a product of type mu.
     """
 
     mu: Partition
     lcm: int
     harmonic: Fraction
     drop: int
-    twos: int
 
     @classmethod
     def of(cls, mu: Partition) -> "PartitionRow":
-        return cls(mu, lcm_of(mu), harmonic_inverse(mu), mu.weight - mu.length,
-                   mu.multiplicity(2))
+        return cls(mu, lcm_of(mu), harmonic_inverse(mu), mu.weight - mu.length)
 
 
 @lru_cache(maxsize=16)

@@ -43,6 +43,7 @@ from .spaces import (
     KIND_MG_POINTED,
     DivisorClass,
     Space,
+    _basis_positions,
     space_mg,
     space_mg_pointed,
 )
@@ -65,13 +66,13 @@ class QuadraticClass:
     def make(cls, space: Space, coefficients: dict[PairKey, Fraction | int]) -> "QuadraticClass":
         if space.kind != KIND_MG_POINTED:
             raise InputError(f"quadratic classes live on {KIND_MG_POINTED}, got {space}")
-        basis = space.basis()
+        positions = _basis_positions(space)
         cleaned: dict[PairKey, Fraction] = {}
         for pair, value in coefficients.items():
             x, y = pair
-            if x not in basis or y not in basis:
+            if x not in positions or y not in positions:
                 raise InputError(f"{pair!r} is not a pair of basis labels of {space}")
-            if basis.index(x) > basis.index(y):
+            if positions[x] > positions[y]:
                 x, y = y, x
             value = Fraction(value)
             if value:
@@ -79,19 +80,15 @@ class QuadraticClass:
         ordered = tuple(
             sorted(
                 ((pair, value) for pair, value in cleaned.items() if value),
-                key=lambda item: (basis.index(item[0][0]), basis.index(item[0][1])),
+                key=lambda item: (positions[item[0][0]], positions[item[0][1]]),
             )
         )
         return cls(space, ordered)
 
     def coefficient(self, x: str, y: str) -> Fraction:
-        basis = self.space.basis()
-        if basis.index(x) > basis.index(y):
+        if self.space.basis_position(x) > self.space.basis_position(y):
             x, y = y, x
-        for pair, value in self.coeffs:
-            if pair == (x, y):
-                return value
-        return Fraction(0)
+        return self.as_dict().get((x, y), Fraction(0))
 
     def as_dict(self) -> dict[PairKey, Fraction]:
         return dict(self.coeffs)

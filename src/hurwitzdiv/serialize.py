@@ -12,6 +12,7 @@ digit decimal hint next to the exact value.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -64,6 +65,19 @@ def parse_partition(text: str) -> Partition:
     return Partition.of(parts)
 
 
+def _decoder(decode):
+    """Report a key missing from the decoded object as InputError."""
+
+    @functools.wraps(decode)
+    def checked(obj: dict):
+        try:
+            return decode(obj)
+        except KeyError as exc:
+            raise InputError(f"{decode.__name__}: missing key {exc}") from None
+
+    return checked
+
+
 # -- spaces and divisor classes ---------------------------------------------
 
 
@@ -89,6 +103,7 @@ def divisor_class_to_obj(divisor: DivisorClass) -> dict:
     }
 
 
+@_decoder
 def divisor_class_from_obj(obj: dict) -> DivisorClass:
     space = space_from_obj(obj["space"])
     coeffs = {
@@ -107,6 +122,7 @@ def quadratic_class_to_obj(quadratic: QuadraticClass) -> dict:
     }
 
 
+@_decoder
 def quadratic_class_from_obj(obj: dict) -> QuadraticClass:
     space = space_from_obj(obj["space"])
     coeffs: dict[tuple[str, str], Fraction] = {}
@@ -151,6 +167,7 @@ def hurwitz_class_to_obj(cls: HurwitzClass) -> dict:
     }
 
 
+@_decoder
 def hurwitz_class_from_obj(obj: dict) -> HurwitzClass:
     coeffs: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     marks: set[tuple[int, tuple[int, ...]]] = set()
@@ -192,6 +209,7 @@ def recipe_to_obj(recipe: DivisorRecipe) -> dict:
     }
 
 
+@_decoder
 def recipe_from_obj(obj: dict) -> DivisorRecipe:
     return DivisorRecipe(
         name=obj["name"],
@@ -242,6 +260,7 @@ def certificate_to_obj(cert: BignessCertificate) -> dict:
     }
 
 
+@_decoder
 def certificate_from_obj(obj: dict) -> BignessCertificate:
     entries = tuple(
         IndexMargin(
@@ -327,6 +346,7 @@ def scan_table_to_obj(table: ScanTable) -> dict:
     }
 
 
+@_decoder
 def scan_table_from_obj(obj: dict) -> ScanTable:
     rows = tuple(
         ScanRow(

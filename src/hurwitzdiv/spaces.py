@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InputError
 
@@ -67,13 +68,20 @@ class Space:
 
     def basis_position(self, label: str) -> int:
         try:
-            return self.basis().index(label)
-        except ValueError:
+            return _basis_positions(self)[label]
+        except KeyError:
             raise InputError(f"{label!r} is not a basis label of {self}") from None
 
     def __str__(self) -> str:
         param = f"b={self.b}" if self.kind == KIND_M0B else f"g={self.g}"
         return f"{self.kind}({param})"
+
+
+# A divisor recipe or a cover-space class works on three spaces at most.
+@lru_cache(maxsize=8)
+def _basis_positions(space: Space) -> dict[str, int]:
+    """Position of each label in `space.basis()`, in basis order; built once per space."""
+    return {label: n for n, label in enumerate(space.basis())}
 
 
 def space_m0b(b: int) -> Space:
@@ -106,15 +114,15 @@ class DivisorClass:
 
     @classmethod
     def make(cls, space: Space, coefficients: dict[str, Rational]) -> "DivisorClass":
-        basis = space.basis()
+        positions = _basis_positions(space)
         cleaned: dict[str, Fraction] = {}
         for label, value in coefficients.items():
-            if label not in basis:
+            if label not in positions:
                 raise InputError(f"{label!r} is not a basis label of {space}")
             value = Fraction(value)
             if value:
                 cleaned[label] = value
-        ordered = tuple(sorted(cleaned.items(), key=lambda item: basis.index(item[0])))
+        ordered = tuple(sorted(cleaned.items(), key=lambda item: positions[item[0]]))
         return cls(space, ordered)
 
     @classmethod
@@ -123,10 +131,7 @@ class DivisorClass:
 
     def coefficient(self, label: str) -> Fraction:
         self.space.basis_position(label)
-        for key, value in self.coeffs:
-            if key == label:
-                return value
-        return Fraction(0)
+        return self.as_dict().get(label, Fraction(0))
 
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.coeffs)

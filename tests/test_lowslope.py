@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import hurwitzdiv.lowslope as lowslope
 from hurwitzdiv import (
     InputError,
+    InvariantError,
     avoided_gonality,
     best_recipe,
     odd_genus_divisor,
@@ -57,6 +59,12 @@ def test_odd_divisor_examples():
         odd_genus_divisor(8)
     with pytest.raises(InputError):
         odd_genus_divisor(3)
+
+
+def test_odd_divisor_undefined_slope_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(lowslope, "slope", lambda divisor: None)
+    with pytest.raises(InvariantError, match="undefined slope"):
+        odd_genus_divisor(15)
 
 
 def test_odd_divisor_delta0_structure():

@@ -43,6 +43,8 @@ from hurwitzdiv.serialize import (
     scan_table_csv,
     scan_table_from_obj,
     scan_table_to_obj,
+    space_from_obj,
+    space_to_obj,
 )
 
 F = Fraction
@@ -144,6 +146,37 @@ def test_certificate_round_trip_stack_and_coarse():
         for entry in obj["indices"]:
             assert set(entry) == {"i", "mu", "margin", "sigma_bound", "sharp", "note"}
             assert entry["sharp"] in (0, 1)
+
+
+_ENCODED = {
+    space_from_obj: lambda: space_to_obj(space_mg(4)),
+    divisor_class_from_obj: lambda: divisor_class_to_obj(weierstrass_class(3)),
+    quadratic_class_from_obj: lambda: quadratic_class_to_obj(
+        QuadraticClass.make(space_mg_pointed(3), {("psi", "psi"): F(1, 2)})
+    ),
+    hurwitz_class_from_obj: lambda: hurwitz_class_to_obj(canonical_class_coarse(2, 3)),
+    recipe_from_obj: lambda: recipe_to_obj(best_recipe(8, 5)),
+    certificate_from_obj: lambda: certificate_to_obj(verify_coarse(8, 3, best_recipe(8, 3))),
+    scan_table_from_obj: lambda: scan_table_to_obj(scan(3, 3, 8, 8)),
+}
+
+
+@pytest.mark.parametrize("decode", list(_ENCODED), ids=lambda decode: decode.__name__)
+def test_decoders_reject_missing_keys(decode):
+    # every key of the encoded object is required, and so is every key of its
+    # first nested entry, except the optional `prime` flag of a class entry
+    encode = _ENCODED[decode]
+    for key, value in encode().items():
+        obj = encode()
+        del obj[key]
+        with pytest.raises(InputError):
+            decode(obj)
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            for inner in value[0].keys() - {"prime"}:
+                obj = encode()
+                del obj[key][0][inner]
+                with pytest.raises(InputError):
+                    decode(obj)
 
 
 def test_certificate_csv_header():
