@@ -22,8 +22,6 @@ on the partition lattice.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from collections.abc import Callable
@@ -55,9 +53,11 @@ from .partitions import (
     transposition_feasible,
 )
 from .serialize import (
+    CERTIFICATE_CSV_HEADER,
     certificate_csv,
     certificate_text,
     certificate_to_obj,
+    csv_text,
     divisor_class_csv,
     divisor_class_text,
     divisor_class_to_obj,
@@ -198,8 +198,8 @@ def _run_verify(args: argparse.Namespace, argv: list[str]) -> int:
             f"bigness certificate: mode={mode}, g={args.g}, k={args.k}\n"
             "verdict: NoDivisor (no built-in divisor of slope below 8 serves this cell)\n"
         )
-        empty_csv = "i,mu,margin,sigma_bound,sharp,note\n"
-        _emit(args, argv, "BignessCertificate", lambda: obj, lambda: empty_csv, lambda: text)
+        _emit(args, argv, "BignessCertificate", lambda: obj,
+              lambda: csv_text(CERTIFICATE_CSV_HEADER, ()), lambda: text)
         return 1
     verify = verify_stack if args.mode == "stack" else verify_coarse
     cert = verify(args.g, args.k, recipe)
@@ -249,18 +249,15 @@ def _run_oracle(args: argparse.Namespace, argv: list[str]) -> int:
         "feasible": feasible,
         "agree": (count > 0) == feasible,
     }
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["k", "mu", "i", "count", "feasible", "agree"])
-    writer.writerow([args.k, str(mu), args.i, count, feasible, obj["agree"]])
-    csv_text = buffer.getvalue()
+    table = csv_text(["k", "mu", "i", "count", "feasible", "agree"],
+                     [[args.k, str(mu), args.i, count, feasible, obj["agree"]]])
     text = (
         f"k={args.k} mu={mu} i={args.i}\n"
         f"count:    {count}\n"
         f"feasible: {feasible}\n"
         f"agree:    {obj['agree']}\n"
     )
-    _emit(args, argv, "OracleReport", lambda: obj, lambda: csv_text, lambda: text)
+    _emit(args, argv, "OracleReport", lambda: obj, lambda: table, lambda: text)
     return 0
 
 

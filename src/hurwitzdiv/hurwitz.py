@@ -7,7 +7,10 @@ rational components with i branch points on one side, and the fibre over the
 node has partition type mu.  Feasibility demands that a permutation of cycle
 type mu factor into i transpositions on one side and b - i on the other.
 
-Classes here are sparse exact-rational vectors over that index set.  Every
+Classes here are sparse exact-rational vectors over that index set, built
+on the sparse-class core of :mod:`.spaces`: the position of each key in the
+cached index set ranks it, so a class keeps the order of
+``boundary_index_set``, and a key outside the set is rejected.  Every
 class built here is affine in q = i(b-i)/(b-1) on each partition: its
 coefficient at (i, mu) is a q + c, with (a, c) read from one table per k.
 With m = m(mu) the lcm of the parts and 1/mu the harmonic sum:
@@ -33,33 +36,37 @@ branch-component marker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, InvariantError
-from .partitions import Partition, lcm_of, partition_table, rev_lex_key
-from .spaces import KIND_M0B, DivisorClass, Rational, canonical_class_m0b, space_m0b
+from .partitions import Partition, lcm_of, partition_table
+from .spaces import (
+    KIND_M0B,
+    DivisorClass,
+    Rational,
+    SparseClass,
+    Terms,
+    _ordered_terms,
+    canonical_class_m0b,
+    space_m0b,
+)
 
 IndexKey = tuple[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class BoundaryIndex:
-    """A feasible boundary label (i, mu), optionally marked as the 2:1 branch part."""
+    """A feasible boundary label (i, mu); its key (i, mu-parts) names E_{i:mu} in a class."""
 
     i: int
     mu: Partition
-    prime: bool = False
 
     @property
     def key(self) -> IndexKey:
         return (self.i, self.mu.parts)
-
-
-def index_sort_key(key: IndexKey) -> tuple[int, tuple[int, ...]]:
-    i, parts = key
-    return (i, rev_lex_key(parts))
 
 
 def _check_gk(g: int, k: int) -> int:
@@ -103,18 +110,30 @@ def _boundary_indices(g: int, k: int) -> tuple[BoundaryIndex, ...]:
 
 
 @lru_cache(maxsize=_INDEX_CACHE_SIZE)
-def _valid_index_keys(g: int, k: int) -> frozenset[IndexKey]:
-    return frozenset(index.key for index in _boundary_indices(g, k))
+def _index_positions(g: int, k: int) -> dict[IndexKey, int]:
+    """Position of each index key in `_boundary_indices(g, k)`; built once per (g, k)."""
+    return {index.key: n for n, index in enumerate(_boundary_indices(g, k))}
+
+
+def _cover_space(g: int, k: int) -> str:
+    return f"the cover space (g, k) = ({g}, {k})"
+
+
+def _marks_on(coeffs: tuple, marks: Iterable[IndexKey]) -> frozenset[IndexKey]:
+    """The branch marks that fall on the support of `coeffs`."""
+    return frozenset(marks).intersection(key for key, _ in coeffs) if marks else frozenset()
 
 
 @dataclass(frozen=True)
-class HurwitzClass:
+class HurwitzClass(SparseClass):
     """Sparse exact-rational class over the boundary basis of a cover space.
 
-    `coeffs` maps index keys (i, mu-parts) to nonzero rationals, sorted by
-    (i, reverse-lex mu).  `branch_marks` flags the indices whose coefficient
-    includes a contribution carried on the 2:1 branch components (the coarse
-    correction); it is bookkeeping metadata and does not affect arithmetic.
+    `coeffs` maps index keys (i, mu-parts) to nonzero rationals, in the order
+    of `boundary_index_set`: by i, then reverse-lex mu.  `branch_marks` flags
+    the indices whose coefficient includes a contribution carried on the 2:1
+    branch components (the coarse correction); it is bookkeeping metadata and
+    does not affect arithmetic.  A sum keeps the marks of both summands and a
+    multiple those of its class, as far as they fall on the new support.
     """
 
     g: int
@@ -127,54 +146,27 @@ class HurwitzClass:
         cls,
         g: int,
         k: int,
-        coefficients: dict[IndexKey, Fraction | int],
+        coefficients: Terms,
         branch_marks: frozenset[IndexKey] | set[IndexKey] = frozenset(),
     ) -> "HurwitzClass":
         _check_gk(g, k)
-        valid = _valid_index_keys(g, k)
-        cleaned: dict[IndexKey, Fraction] = {}
-        for key, value in coefficients.items():
-            if key not in valid:
-                raise InputError(f"(i, mu) = {key!r} is not a feasible boundary index")
-            value = Fraction(value)
-            if value:
-                cleaned[key] = value
-        marks = frozenset(key for key in branch_marks if key in cleaned)
-        ordered = tuple(sorted(cleaned.items(), key=lambda item: index_sort_key(item[0])))
-        return cls(g, k, ordered, marks)
+        rank = _index_positions(g, k).__getitem__
+        coeffs = _ordered_terms(coefficients, rank, _cover_space(g, k))
+        return cls(g, k, coeffs, _marks_on(coeffs, branch_marks))
 
     def coefficient(self, i: int, mu: Partition) -> Fraction:
         return self.as_dict().get((i, mu.parts), Fraction(0))
 
-    def as_dict(self) -> dict[IndexKey, Fraction]:
-        return dict(self.coeffs)
-
     def support(self) -> tuple[IndexKey, ...]:
         return tuple(key for key, _ in self.coeffs)
 
-    def __add__(self, other: "HurwitzClass") -> "HurwitzClass":
-        if not isinstance(other, HurwitzClass):
-            return NotImplemented
-        if (self.g, self.k) != (other.g, other.k):
-            raise InputError("cannot add classes on different cover spaces")
-        merged = self.as_dict()
-        for key, value in other.coeffs:
-            merged[key] = merged.get(key, Fraction(0)) + value
-        return HurwitzClass.make(
-            self.g, self.k, merged, self.branch_marks | other.branch_marks
-        )
+    def _basis(self) -> tuple[str, Callable[[IndexKey], int]]:
+        return _cover_space(self.g, self.k), _index_positions(self.g, self.k).__getitem__
 
-    def __mul__(self, scalar: Fraction | int) -> "HurwitzClass":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return HurwitzClass.make(
-            self.g,
-            self.k,
-            {key: Fraction(scalar) * value for key, value in self.coeffs},
-            self.branch_marks,
-        )
-
-    __rmul__ = __mul__
+    def _with_terms(self, terms: Iterable, other: "HurwitzClass | None" = None) -> "HurwitzClass":
+        result = super()._with_terms(terms)
+        marks = self.branch_marks | other.branch_marks if other is not None else self.branch_marks
+        return replace(result, branch_marks=_marks_on(result.coeffs, marks))
 
 
 @lru_cache(maxsize=16)

@@ -35,6 +35,8 @@ from .errors import InputError, InvariantError
 from .pushpull import elliptic_tail_pullback, forgetful_pushforward, multiply
 from .spaces import (
     DivisorClass,
+    Space,
+    _basis_positions,
     pseudostable_pullback,
     slope,
     space_mg,
@@ -100,6 +102,12 @@ def _avoidance_hypotheses(base_gonality: int, k: int | None = None) -> tuple[str
     return tuple(lines)
 
 
+def _slope_class(space: Space, s: Fraction) -> DivisorClass:
+    """s lambda minus every delta of the basis, on the genus-g space or its pseudo-stable model."""
+    lambda_label, *delta_labels = _basis_positions(space)
+    return DivisorClass.make(space, [(lambda_label, s)] + [(x, -1) for x in delta_labels])
+
+
 def second_hilbert_divisor(g: int) -> DivisorRecipe:
     """Even-genus divisor of slope 7 + 6/g through the second Hilbert point.
 
@@ -111,13 +119,24 @@ def second_hilbert_divisor(g: int) -> DivisorRecipe:
     """
     if not isinstance(g, int) or g < 6 or g % 2 != 0:
         raise InputError(f"the second-Hilbert divisor needs even g >= 6, got {g!r}")
+    return DivisorRecipe(
+        name=RECIPE_HILBERT2,
+        g=g,
+        divisor_class=_second_hilbert_class(g),
+        slope=7 + Fraction(6, g),
+        hypotheses=(
+            "effective: hyperplane pullback through the second-Hilbert-point model "
+            "(semistability assumed)",
+        )
+        + _avoidance_hypotheses(3),
+    )
+
+
+def _second_hilbert_class(g: int) -> DivisorClass:
+    """The class of `second_hilbert_divisor(g)`, checked against the pseudo-stable route."""
     scale = Fraction(g * (g + 1), 2)
     s = 7 + Fraction(6, g)
-    ps_space = space_mg_pseudostable(g)
-    ps_coeffs: dict[str, Fraction] = {"lambda_ps": s, "delta_0_ps": Fraction(-1)}
-    for j in range(2, g // 2 + 1):
-        ps_coeffs[f"delta_{j}_ps"] = Fraction(-1)
-    pipeline = scale * pseudostable_pullback(DivisorClass.make(ps_space, ps_coeffs))
+    pipeline = scale * pseudostable_pullback(_slope_class(space_mg_pseudostable(g), s))
 
     direct_coeffs: dict[str, Fraction] = {
         "lambda": scale * s,
@@ -129,18 +148,7 @@ def second_hilbert_divisor(g: int) -> DivisorRecipe:
     direct = DivisorClass.make(space_mg(g), direct_coeffs)
     if pipeline != direct:
         raise InvariantError("pseudo-stable pipeline disagrees with the direct expansion")
-
-    return DivisorRecipe(
-        name=RECIPE_HILBERT2,
-        g=g,
-        divisor_class=direct,
-        slope=s,
-        hypotheses=(
-            "effective: hyperplane pullback through the second-Hilbert-point model "
-            "(semistability assumed)",
-        )
-        + _avoidance_hypotheses(3),
-    )
+    return direct
 
 
 def odd_genus_slope(g: int) -> Fraction:
@@ -168,21 +176,15 @@ def odd_genus_slope(g: int) -> Fraction:
 def odd_genus_divisor(g: int) -> DivisorRecipe:
     """Odd-genus divisor: push the even-genus divisor down from genus g+1.
 
-    Start from the normalised even-genus class in genus g+1, pull back along
-    the elliptic-tail map, multiply by the Weierstrass divisor, and push
-    forward along the forgetful map.
+    Start from the even-genus class in genus h = g+1, normalised by
+    2/(h(h+1)) to lambda coefficient 7 + 6/h, pull back along the
+    elliptic-tail map, multiply by the Weierstrass divisor, and push forward
+    along the forgetful map.
     """
     if not isinstance(g, int) or g < 5 or g % 2 != 1:
         raise InputError(f"the odd-genus divisor needs odd g >= 5, got {g!r}")
     h = g + 1
-    even_coeffs: dict[str, Fraction] = {
-        "lambda": 7 + Fraction(6, h),
-        "delta_0": Fraction(-1),
-        "delta_1": -(5 - Fraction(6, h)),
-    }
-    for j in range(2, h // 2 + 1):
-        even_coeffs[f"delta_{j}"] = Fraction(-1)
-    even_class = DivisorClass.make(space_mg(h), even_coeffs)
+    even_class = Fraction(2, h * (h + 1)) * _second_hilbert_class(h)
 
     pushed = forgetful_pushforward(
         multiply(elliptic_tail_pullback(even_class), weierstrass_class(g))
@@ -205,15 +207,11 @@ def odd_genus_divisor(g: int) -> DivisorRecipe:
 
 def syzygy_divisor_g7() -> DivisorRecipe:
     """Genus-7 divisor of slope 54/7 through the first-syzygy-point model."""
-    g = 7
     s = Fraction(54, 7)
-    coeffs: dict[str, Fraction] = {"lambda": s}
-    for i in range(g // 2 + 1):
-        coeffs[f"delta_{i}"] = Fraction(-1)
     return DivisorRecipe(
         name=RECIPE_SYZYGY_G7,
-        g=g,
-        divisor_class=DivisorClass.make(space_mg(g), coeffs),
+        g=7,
+        divisor_class=_slope_class(space_mg(7), s),
         slope=s,
         hypotheses=(
             "effective: hyperplane pullback through the first-syzygy-point model "
@@ -232,13 +230,10 @@ def third_hilbert_divisor(g: int) -> DivisorRecipe:
     if not isinstance(g, int) or g < 4:
         raise InputError(f"the third-Hilbert divisor needs g >= 4, got {g!r}")
     s = Fraction(22, 3) + Fraction(5, g)
-    coeffs: dict[str, Fraction] = {"lambda": s}
-    for i in range(g // 2 + 1):
-        coeffs[f"delta_{i}"] = Fraction(-1)
     return DivisorRecipe(
         name=RECIPE_HILBERT3_CONDITIONAL,
         g=g,
-        divisor_class=DivisorClass.make(space_mg(g), coeffs),
+        divisor_class=_slope_class(space_mg(g), s),
         slope=s,
         hypotheses=(
             "effective: hyperplane pullback through the third-Hilbert-point model "
@@ -259,13 +254,10 @@ def user_divisor(g: int, s: Fraction, k: int) -> DivisorRecipe:
     s = Fraction(s)
     if s <= 0:
         raise InputError(f"a user-supplied slope must be positive, got {s}")
-    coeffs: dict[str, Fraction] = {"lambda": s}
-    for i in range(g // 2 + 1):
-        coeffs[f"delta_{i}"] = Fraction(-1)
     return DivisorRecipe(
         name=RECIPE_USER,
         g=g,
-        divisor_class=DivisorClass.make(space_mg(g), coeffs),
+        divisor_class=_slope_class(space_mg(g), s),
         slope=s,
         hypotheses=(
             "user-supplied effective divisor of the given slope (existence assumed)",

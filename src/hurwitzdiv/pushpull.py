@@ -1,7 +1,10 @@
 """Operators between the moduli spaces: pullback, product, pushforward.
 
 Three maps are implemented, all as exact linear (or bilinear) operators on
-sparse coefficient vectors:
+sparse coefficient vectors.  Each yields the (key, value) terms of its image
+straight into the `make` of the target class, which sums and checks them in
+the sparse-class core of :mod:`.spaces`; :class:`QuadraticClass` shares that
+core with the divisor classes.
 
 * `elliptic_tail_pullback` -- pullback along the map that attaches a fixed
   one-pointed elliptic curve at the marked point, from classes on the
@@ -34,6 +37,7 @@ sparse coefficient vectors:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +47,10 @@ from .spaces import (
     KIND_MG_POINTED,
     DivisorClass,
     Space,
+    SparseClass,
+    Terms,
     _basis_positions,
+    _ordered_terms,
     space_mg,
     space_mg_pointed,
 )
@@ -52,7 +59,7 @@ PairKey = tuple[str, str]
 
 
 @dataclass(frozen=True)
-class QuadraticClass:
+class QuadraticClass(SparseClass):
     """Formal symmetric degree-2 combination of divisor generators.
 
     Keys are unordered pairs of basis labels of a one-pointed space, stored
@@ -63,54 +70,32 @@ class QuadraticClass:
     coeffs: tuple[tuple[PairKey, Fraction], ...]
 
     @classmethod
-    def make(cls, space: Space, coefficients: dict[PairKey, Fraction | int]) -> "QuadraticClass":
+    def make(cls, space: Space, coefficients: Terms) -> "QuadraticClass":
         if space.kind != KIND_MG_POINTED:
             raise InputError(f"quadratic classes live on {KIND_MG_POINTED}, got {space}")
+        if isinstance(coefficients, dict):
+            coefficients = coefficients.items()
         positions = _basis_positions(space)
-        cleaned: dict[PairKey, Fraction] = {}
-        for pair, value in coefficients.items():
-            x, y = pair
-            if x not in positions or y not in positions:
-                raise InputError(f"{pair!r} is not a pair of basis labels of {space}")
-            if positions[x] > positions[y]:
-                x, y = y, x
-            value = Fraction(value)
-            if value:
-                cleaned[(x, y)] = cleaned.get((x, y), Fraction(0)) + value
-        ordered = tuple(
-            sorted(
-                ((pair, value) for pair, value in cleaned.items() if value),
-                key=lambda item: (positions[item[0][0]], positions[item[0][1]]),
-            )
+        # earlier basis label first; a foreign label is left for the rank to reject
+        terms = (
+            ((y, x) if positions.get(y, -1) < positions.get(x, -1) else (x, y), value)
+            for (x, y), value in coefficients
         )
-        return cls(space, ordered)
+        return cls(space, _ordered_terms(terms, _pair_rank(space), space))
 
     def coefficient(self, x: str, y: str) -> Fraction:
         if self.space.basis_position(x) > self.space.basis_position(y):
             x, y = y, x
         return self.as_dict().get((x, y), Fraction(0))
 
-    def as_dict(self) -> dict[PairKey, Fraction]:
-        return dict(self.coeffs)
+    def _basis(self) -> tuple[Space, Callable[[PairKey], tuple[int, int]]]:
+        return self.space, _pair_rank(self.space)
 
-    def __add__(self, other: "QuadraticClass") -> "QuadraticClass":
-        if not isinstance(other, QuadraticClass):
-            return NotImplemented
-        if other.space != self.space:
-            raise InputError(f"cannot add classes on {self.space} and {other.space}")
-        merged = self.as_dict()
-        for pair, value in other.coeffs:
-            merged[pair] = merged.get(pair, Fraction(0)) + value
-        return QuadraticClass.make(self.space, merged)
 
-    def __mul__(self, scalar: Fraction | int) -> "QuadraticClass":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return QuadraticClass.make(
-            self.space, {pair: Fraction(scalar) * value for pair, value in self.coeffs}
-        )
-
-    __rmul__ = __mul__
+def _pair_rank(space: Space) -> Callable[[PairKey], tuple[int, int]]:
+    """Rank of a pair of basis labels; KeyError for a foreign label."""
+    positions = _basis_positions(space)
+    return lambda pair: (positions[pair[0]], positions[pair[1]])
 
 
 def elliptic_tail_pullback(divisor: DivisorClass) -> DivisorClass:
@@ -121,25 +106,20 @@ def elliptic_tail_pullback(divisor: DivisorClass) -> DivisorClass:
     g = h - 1
     if g < 2:
         raise InputError(f"target genus must be >= 2, got g = {g}")
-    target = space_mg_pointed(g)
-    out: dict[str, Fraction] = {}
 
-    def accumulate(label: str, value: Fraction) -> None:
-        out[label] = out.get(label, Fraction(0)) + value
+    def terms() -> Iterable[tuple[str, Fraction]]:
+        for label, value in divisor.coeffs:
+            if label in ("lambda", "delta_0"):
+                yield label, value
+            elif label == "delta_1":
+                yield "psi", -value
+                yield f"delta_{g - 1}", value
+            else:
+                i = int(label.split("_")[1])
+                yield f"delta_{i - 1}", value
+                yield f"delta_{g - i}", value
 
-    for label, value in divisor.coeffs:
-        if label == "lambda":
-            accumulate("lambda", value)
-        elif label == "delta_0":
-            accumulate("delta_0", value)
-        elif label == "delta_1":
-            accumulate("psi", -value)
-            accumulate(f"delta_{g - 1}", value)
-        else:
-            i = int(label.split("_")[1])
-            accumulate(f"delta_{i - 1}", value)
-            accumulate(f"delta_{g - i}", value)
-    return DivisorClass.make(target, out)
+    return DivisorClass.make(space_mg_pointed(g), terms())
 
 
 def multiply(left: DivisorClass, right: DivisorClass) -> QuadraticClass:
@@ -148,36 +128,28 @@ def multiply(left: DivisorClass, right: DivisorClass) -> QuadraticClass:
         raise InputError("both factors must live on a one-pointed space")
     if left.space != right.space:
         raise InputError(f"space mismatch: {left.space} vs {right.space}")
-    out: dict[PairKey, Fraction] = {}
-    for x, a in left.coeffs:
-        for y, b in right.coeffs:
-            key = (x, y)
-            out[key] = out.get(key, Fraction(0)) + a * b
-    return QuadraticClass.make(left.space, out)
+    return QuadraticClass.make(
+        left.space, (((x, y), a * b) for x, a in left.coeffs for y, b in right.coeffs)
+    )
 
 
 def forgetful_pushforward(quadratic: QuadraticClass) -> DivisorClass:
     """Push a quadratic class on the one-pointed space down to the unpointed one."""
     g = quadratic.space.g
-    target = space_mg(g)
-    out: dict[str, Fraction] = {}
 
-    def accumulate(label: str, value: Fraction) -> None:
-        out[label] = out.get(label, Fraction(0)) + value
+    def terms() -> Iterable[tuple[str, Fraction]]:
+        for (x, y), value in quadratic.coeffs:
+            if x == "psi" and y == "psi":
+                yield "lambda", 12 * value
+                for i in range(g // 2 + 1):
+                    yield f"delta_{i}", -value
+            elif "psi" in (x, y):
+                other = y if x == "psi" else x
+                if other in ("lambda", "delta_0"):
+                    yield other, (2 * g - 2) * value
+                else:
+                    i = int(other.split("_")[1])
+                    yield f"delta_{min(i, g - i)}", (2 * i - 2) * value
+            # monomials without psi push forward to zero
 
-    for (x, y), value in quadratic.coeffs:
-        if x == "psi" and y == "psi":
-            accumulate("lambda", 12 * value)
-            for i in range(g // 2 + 1):
-                accumulate(f"delta_{i}", -value)
-        elif "psi" in (x, y):
-            other = y if x == "psi" else x
-            if other == "lambda":
-                accumulate("lambda", (2 * g - 2) * value)
-            elif other == "delta_0":
-                accumulate("delta_0", (2 * g - 2) * value)
-            else:
-                i = int(other.split("_")[1])
-                accumulate(f"delta_{min(i, g - i)}", (2 * i - 2) * value)
-        # monomials without psi push forward to zero
-    return DivisorClass.make(target, out)
+    return DivisorClass.make(space_mg(g), terms())

@@ -15,15 +15,15 @@ import csv
 import functools
 import io
 import json
-import math
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .bigness import BignessCertificate, IndexMargin, ScanRow, ScanTable
 from .errors import InputError
 from .hurwitz import BoundaryIndex, HurwitzClass
 from .lowslope import DivisorRecipe
-from .partitions import Partition
+from .partitions import Partition, lcm_of
 from .pushpull import QuadraticClass
 from .spaces import KIND_M0B, DivisorClass, Space
 
@@ -52,6 +52,15 @@ def rational_text(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value)
     return f"{value} (~{float(value):.6g})"
+
+
+def csv_text(header: list[str], rows: Iterable[list]) -> str:
+    """A CSV document: the header row, then one line per row, LF line endings."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def parse_partition(text: str) -> Partition:
@@ -125,20 +134,16 @@ def quadratic_class_to_obj(quadratic: QuadraticClass) -> dict:
 @_decoder
 def quadratic_class_from_obj(obj: dict) -> QuadraticClass:
     space = space_from_obj(obj["space"])
-    coeffs: dict[tuple[str, str], Fraction] = {}
-    for entry in obj["coefficients"]:
-        x, y = entry["basis"]
-        coeffs[(x, y)] = parse_rational(entry["value"])
+    coeffs = {
+        tuple(entry["basis"]): parse_rational(entry["value"]) for entry in obj["coefficients"]
+    }
     return QuadraticClass.make(space, coeffs)
 
 
 def divisor_class_csv(divisor: DivisorClass) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["basis", "value"])
-    for label, value in divisor.coeffs:
-        writer.writerow([label, rational_str(value)])
-    return buffer.getvalue()
+    return csv_text(
+        ["basis", "value"], ([label, rational_str(value)] for label, value in divisor.coeffs)
+    )
 
 
 def divisor_class_text(divisor: DivisorClass) -> str:
@@ -180,12 +185,12 @@ def hurwitz_class_from_obj(obj: dict) -> HurwitzClass:
 
 
 def hurwitz_class_csv(cls: HurwitzClass) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["i", "mu", "m_mu", "value"])
-    for (i, parts), value in cls.coeffs:
-        writer.writerow([i, str(Partition(parts)), math.lcm(*parts), rational_str(value)])
-    return buffer.getvalue()
+    def rows():
+        for (i, parts), value in cls.coeffs:
+            mu = Partition(parts)
+            yield [i, str(mu), lcm_of(mu), rational_str(value)]
+
+    return csv_text(["i", "mu", "m_mu", "value"], rows())
 
 
 def hurwitz_class_text(cls: HurwitzClass) -> str:
@@ -284,12 +289,13 @@ def certificate_from_obj(obj: dict) -> BignessCertificate:
     )
 
 
+CERTIFICATE_CSV_HEADER = ["i", "mu", "margin", "sigma_bound", "sharp", "note"]
+
+
 def certificate_csv(cert: BignessCertificate) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["i", "mu", "margin", "sigma_bound", "sharp", "note"])
-    for entry in cert.per_index:
-        writer.writerow(
+    return csv_text(
+        CERTIFICATE_CSV_HEADER,
+        (
             [
                 entry.index.i,
                 str(entry.index.mu),
@@ -298,8 +304,9 @@ def certificate_csv(cert: BignessCertificate) -> str:
                 entry.sharp,
                 entry.note,
             ]
-        )
-    return buffer.getvalue()
+            for entry in cert.per_index
+        ),
+    )
 
 
 def certificate_text(cert: BignessCertificate) -> str:
@@ -364,13 +371,9 @@ def scan_table_from_obj(obj: dict) -> ScanTable:
 
 
 def scan_table_csv(table: ScanTable) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["g", "k", "recipe", "slope", "stack_verdict", "coarse_verdict", "min_margin"]
-    )
-    for row in table.rows:
-        writer.writerow(
+    return csv_text(
+        ["g", "k", "recipe", "slope", "stack_verdict", "coarse_verdict", "min_margin"],
+        (
             [
                 row.g,
                 row.k,
@@ -380,8 +383,9 @@ def scan_table_csv(table: ScanTable) -> str:
                 row.coarse_verdict,
                 _optional_rational_str(row.min_margin),
             ]
-        )
-    return buffer.getvalue()
+            for row in table.rows
+        ),
+    )
 
 
 def scan_table_text(table: ScanTable) -> str:

@@ -16,13 +16,22 @@ Four spaces carry a named divisor-class basis here:
 A :class:`DivisorClass` is a sparse map from basis labels to exact rationals
 (absent = 0); addition and scaling never leave the space, and no floating
 point enters any computation.
+
+:class:`DivisorClass`, ``pushpull.QuadraticClass`` and ``hurwitz.HurwitzClass``
+share one core: `_ordered_terms` alone turns (key, value) terms into stored
+coefficients, and :class:`SparseClass` holds their arithmetic.  A linear
+operator such as `pseudostable_pullback` yields the terms of its image
+straight into the `make` of the target class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Hashable, Iterable
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .errors import InputError
 
@@ -32,6 +41,8 @@ KIND_MG_PSEUDOSTABLE = "MgPseudoStable"
 KIND_MG_POINTED = "MgOnePointed"
 
 Rational = Fraction | int
+# what `make` takes: a dict or an iterable of (key, value) terms
+Terms = dict | Iterable[tuple[Hashable, Rational]]
 
 
 @dataclass(frozen=True)
@@ -100,8 +111,78 @@ def space_mg_pointed(g: int) -> Space:
     return Space(KIND_MG_POINTED, g=g)
 
 
+def _ordered_terms(terms: Terms, rank: Callable[[Hashable], object], where: object) -> tuple:
+    """The canonical coefficients of a sparse class on the basis of `where`.
+
+    `terms` is a dict or an iterable of (key, value) pairs; repeated keys are
+    summed.  Each value must be an int or a Fraction, and each key must have a
+    `rank(key)`, its position in the basis (KeyError for a foreign key);
+    either fault raises InputError.  Returns the nonzero sums as (key,
+    Fraction) pairs in basis order.
+    """
+    sums: dict = {}
+    for key, value in terms.items() if isinstance(terms, dict) else terms:
+        if not isinstance(value, (int, Fraction)):
+            raise InputError(f"the coefficient of {key!r} must be an int or a Fraction, "
+                             f"got {value!r}")
+        sums[key] = sums[key] + value if key in sums else value
+    ranked = []
+    for key, value in sums.items():
+        try:
+            position = rank(key)
+        except KeyError:
+            raise InputError(f"{key!r} is not a basis key of {where}") from None
+        if value:
+            ranked.append((position, key, value))
+    ranked.sort(key=itemgetter(0))
+    return tuple(
+        (key, value if isinstance(value, Fraction) else Fraction(value))
+        for _, key, value in ranked
+    )
+
+
+class SparseClass:
+    """Arithmetic shared by the sparse classes.
+
+    A subclass is a frozen dataclass whose `coeffs` field holds (key,
+    Fraction) pairs as `_ordered_terms` returns them, and whose `_basis`
+    returns its space, which `+` must match, and the rank of its keys.  Sums,
+    negatives and multiples go through `_ordered_terms` again, so every key
+    is checked on every build.
+    """
+
+    def _with_terms(self, terms: Iterable, other: "SparseClass | None" = None) -> "SparseClass":
+        """A class on the same space with the given terms; `other` is the second summand."""
+        where, rank = self._basis()
+        return replace(self, coeffs=_ordered_terms(terms, rank, where))
+
+    def as_dict(self) -> dict:
+        return dict(self.coeffs)
+
+    def __add__(self, other: "SparseClass") -> "SparseClass":
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        where, other_where = self._basis()[0], other._basis()[0]
+        if where != other_where:
+            raise InputError(f"cannot add classes on {where} and {other_where}")
+        return self._with_terms(chain(self.coeffs, other.coeffs), other)
+
+    def __neg__(self) -> "SparseClass":
+        return self * -1
+
+    def __sub__(self, other: "SparseClass") -> "SparseClass":
+        return self + -other
+
+    def __mul__(self, scalar: Rational) -> "SparseClass":
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        return self._with_terms((key, scalar * value) for key, value in self.coeffs)
+
+    __rmul__ = __mul__
+
+
 @dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(SparseClass):
     """Sparse exact-rational combination of the basis divisors of a space.
 
     `coeffs` is kept in canonical form: pairs sorted by basis position, zero
@@ -113,17 +194,8 @@ class DivisorClass:
     coeffs: tuple[tuple[str, Fraction], ...]
 
     @classmethod
-    def make(cls, space: Space, coefficients: dict[str, Rational]) -> "DivisorClass":
-        positions = _basis_positions(space)
-        cleaned: dict[str, Fraction] = {}
-        for label, value in coefficients.items():
-            if label not in positions:
-                raise InputError(f"{label!r} is not a basis label of {space}")
-            value = Fraction(value)
-            if value:
-                cleaned[label] = value
-        ordered = tuple(sorted(cleaned.items(), key=lambda item: positions[item[0]]))
-        return cls(space, ordered)
+    def make(cls, space: Space, coefficients: Terms) -> "DivisorClass":
+        return cls(space, _ordered_terms(coefficients, _basis_positions(space).__getitem__, space))
 
     @classmethod
     def zero(cls, space: Space) -> "DivisorClass":
@@ -133,36 +205,8 @@ class DivisorClass:
         self.space.basis_position(label)
         return self.as_dict().get(label, Fraction(0))
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.coeffs)
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if not isinstance(other, DivisorClass):
-            return NotImplemented
-        if other.space != self.space:
-            raise InputError(f"cannot add classes on {self.space} and {other.space}")
-        merged = self.as_dict()
-        for label, value in other.coeffs:
-            merged[label] = merged.get(label, Fraction(0)) + value
-        return DivisorClass.make(self.space, merged)
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.space, tuple((label, -value) for label, value in self.coeffs))
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
-
-    def __mul__(self, scalar: Rational) -> "DivisorClass":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        scalar = Fraction(scalar)
-        if scalar == 0:
-            return DivisorClass.zero(self.space)
-        return DivisorClass(
-            self.space, tuple((label, scalar * value) for label, value in self.coeffs)
-        )
-
-    __rmul__ = __mul__
+    def _basis(self) -> tuple[Space, Callable[[str], int]]:
+        return self.space, _basis_positions(self.space).__getitem__
 
 
 def canonical_class_m0b(b: int) -> DivisorClass:
@@ -203,14 +247,14 @@ def is_big_boundary_positive(divisor: DivisorClass) -> tuple[bool, Fraction]:
     """
     if divisor.space.kind != KIND_M0B:
         raise InputError(f"bigness test applies to {KIND_M0B} classes, got {divisor.space}")
-    b = divisor.space.b
-    kappa = kappa1_m0b(b)
+    values = divisor.as_dict()
+    kappa = kappa1_m0b(divisor.space.b).as_dict()
     alpha: Fraction | None = None
     for label in divisor.space.basis():
-        c = divisor.coefficient(label)
+        c = values.get(label, 0)
         if c <= 0:
             return (False, Fraction(0))
-        ratio = c / kappa.coefficient(label)
+        ratio = c / kappa[label]
         alpha = ratio if alpha is None else min(alpha, ratio)
     return (True, alpha if alpha is not None else Fraction(0))
 
@@ -224,10 +268,11 @@ def slope(divisor: DivisorClass) -> Fraction | None:
     """
     if divisor.space.kind != KIND_MG:
         raise InputError(f"slope is defined for {KIND_MG} classes, got {divisor.space}")
-    a = divisor.coefficient("lambda")
+    values = divisor.as_dict()
+    a = values.get("lambda", 0)
     if a <= 0:
         return None
-    negated = [-divisor.coefficient(f"delta_{i}") for i in range(divisor.space.g // 2 + 1)]
+    negated = [-values.get(f"delta_{i}", 0) for i in range(divisor.space.g // 2 + 1)]
     if any(bi <= 0 for bi in negated):
         return None
     return a / min(negated)
@@ -260,21 +305,16 @@ def pseudostable_pullback(divisor: DivisorClass) -> DivisorClass:
         raise InputError(
             f"pullback applies to {KIND_MG_PSEUDOSTABLE} classes, got {divisor.space}"
         )
-    g = divisor.space.g
-    target = space_mg(g)
-    out: dict[str, Fraction] = {}
 
-    def accumulate(label: str, value: Fraction) -> None:
-        out[label] = out.get(label, Fraction(0)) + value
+    def terms() -> Iterable[tuple[str, Fraction]]:
+        for label, value in divisor.coeffs:
+            if label == "lambda_ps":
+                yield "lambda", value
+                yield "delta_1", value
+            elif label == "delta_0_ps":
+                yield "delta_0", value
+                yield "delta_1", 12 * value
+            else:
+                yield label.removesuffix("_ps"), value
 
-    for label, value in divisor.coeffs:
-        if label == "lambda_ps":
-            accumulate("lambda", value)
-            accumulate("delta_1", value)
-        elif label == "delta_0_ps":
-            accumulate("delta_0", value)
-            accumulate("delta_1", 12 * value)
-        else:
-            j = int(label.split("_")[1])
-            accumulate(f"delta_{j}", value)
-    return DivisorClass.make(target, out)
+    return DivisorClass.make(space_mg(divisor.space.g), terms())

@@ -285,6 +285,43 @@ def test_hurwitz_class_arithmetic():
         a + hodge_class(2, 4)
 
 
+def test_hurwitz_class_rejects_floats():
+    with pytest.raises(InputError):
+        HurwitzClass.make(2, 3, {(2, (3,)): 0.25})
+
+
+def test_hurwitz_class_make_orders_keys_by_index():
+    g, k = 3, 4
+    values = {index.key: F(n + 1, 3) for n, index in enumerate(boundary_index_set(g, k))}
+    in_order = HurwitzClass.make(g, k, values)
+    reversed_build = HurwitzClass.make(g, k, dict(reversed(list(values.items()))))
+    assert reversed_build == in_order
+    assert reversed_build.support() == tuple(x.key for x in boundary_index_set(g, k))
+
+
+def test_branch_marks_follow_arithmetic():
+    coarse = canonical_class_coarse(3, 4)
+    marks = coarse.branch_marks
+    assert marks
+    assert (coarse + hodge_class(3, 4)).branch_marks == marks
+    assert (hodge_class(3, 4) + coarse).branch_marks == marks
+    assert (F(3, 2) * coarse).branch_marks == marks
+    assert (coarse * -2).branch_marks == marks
+    assert (0 * coarse).branch_marks == frozenset()
+    assert (0 * coarse).coeffs == ()
+
+
+def test_hurwitz_class_subtraction():
+    stack = canonical_class_stack(3, 4)
+    coarse = canonical_class_coarse(3, 4)
+    assert coarse - stack == coarse_correction(3, 4)
+    assert -stack == -1 * stack
+    assert stack - stack == HurwitzClass.make(3, 4, {})
+    # a mark whose coefficient cancels is dropped
+    correction = coarse_correction(3, 4)
+    assert (correction - correction).branch_marks == frozenset()
+
+
 def _nonzero(values):
     return {key: value for key, value in values.items() if value}
 

@@ -70,6 +70,26 @@ def test_multiply_examples():
     assert multiply(zero, psi).as_dict() == {}
 
 
+def test_quadratic_class_rejects_foreign_labels():
+    space = space_mg_pointed(4)
+    with pytest.raises(InputError):
+        QuadraticClass.make(space, {("psi", "delta_4"): 1})
+    with pytest.raises(InputError):
+        QuadraticClass.make(space, {("lambda_ps", "psi"): 1})
+
+
+def test_quadratic_class_rejects_floats():
+    with pytest.raises(InputError):
+        QuadraticClass.make(space_mg_pointed(4), {("psi", "psi"): 0.5})
+
+
+def test_quadratic_class_unordered_pairs_sum():
+    space = space_mg_pointed(4)
+    q = QuadraticClass.make(space, [(("delta_1", "psi"), 2), (("psi", "delta_1"), F(1, 3))])
+    assert q.coeffs == ((("psi", "delta_1"), F(7, 3)),)
+    assert q.coefficient("delta_1", "psi") == F(7, 3)
+
+
 def test_multiply_space_mismatch():
     with pytest.raises(InputError):
         multiply(_one(space_mg_pointed(4), "psi"), _one(space_mg_pointed(5), "psi"))

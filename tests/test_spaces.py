@@ -58,6 +58,22 @@ def test_divisor_class_rejects_foreign_labels():
         DivisorClass.make(space_mg_pseudostable(6), {"delta_1_ps": 1})
 
 
+def test_divisor_class_rejects_floats():
+    # 0.1 would otherwise be stored as 3602879701896397/36028797018963968
+    with pytest.raises(InputError):
+        DivisorClass.make(space_mg(4), {"lambda": 0.1})
+    with pytest.raises(InputError):
+        DivisorClass.make(space_mg(4), {"lambda": 1.0})
+
+
+def test_divisor_class_sums_repeated_terms_in_basis_order():
+    space = space_mg(4)
+    built = DivisorClass.make(space, [("delta_2", 1), ("lambda", F(1, 2)), ("delta_2", -1),
+                                      ("delta_0", 3), ("lambda", F(1, 2))])
+    assert built.coeffs == (("lambda", F(1)), ("delta_0", F(3)))
+    assert all(type(value) is Fraction for _, value in built.coeffs)
+
+
 def test_divisor_class_arithmetic_stays_on_space():
     a = DivisorClass.make(space_mg(4), {"lambda": 1})
     b = DivisorClass.make(space_mg(5), {"lambda": 1})
