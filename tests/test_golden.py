@@ -4,8 +4,11 @@ Each command's standard output is hashed with sha256 and kept with its exit
 code.  The commands cover every cover-space class at a small genus and at
 g = 200, both verification modes (with a user slope, a cell with no
 divisor and a cell outside the coarse range), the full scan rectangle and an
-odd-genus divisor, each in every output format.  A refactor of the formulas
-behind them must leave all of these bytes unchanged.
+odd-genus divisor, each in every output format.  A second set, recorded
+before the payload renderers moved out of the CLI, covers the oracle report,
+the even and syzygy divisors, the classes on the genus-g and genus-0 spaces
+and a NoDivisor cell outside the coarse range.  A refactor of the formulas or
+renderers behind them must leave all of these bytes unchanged.
 """
 
 from __future__ import annotations
@@ -143,6 +146,60 @@ GOLDEN = {
         (0, "78d667e2b862f7bb172cf98e3a93c8d857aa19765e334deed461b95885447781"),
     "divisor odd --g 15 --format text":
         (0, "3724f0e1ef74038ba552dd941d11e3e95e2ae8a7a6c2d7ba3d83993440f05fcc"),
+    "oracle --k 5 --mu 3,2 --i 5 --format json":
+        (0, "3e25ef58629cde419b2ffc1dd9ffc1e09f00597984aab348beefc768cd327781"),
+    "oracle --k 5 --mu 3,2 --i 5 --format csv":
+        (0, "00426e7f857a0ead1176b9a6110db57d1d26e71e719c5c3b8b986d12adbd6511"),
+    "oracle --k 5 --mu 3,2 --i 5 --format text":
+        (0, "bf31befc1d142deba0dbacb094628f323df83f1bff3279f96db9fac571d31880"),
+    "oracle --k 5 --mu 5 --i 3 --format json":
+        (0, "5d37d5dca0ddd7395032638cee1db1c83a14a247317756b6a49436c7b5ef983f"),
+    "oracle --k 5 --mu 5 --i 3 --format csv":
+        (0, "0539b1f516ac6fbdd824cacee568a4261d67e62939e0c7c219d3b44f2a95130c"),
+    "oracle --k 5 --mu 5 --i 3 --format text":
+        (0, "8ebeed754de0bb31a524c7ccff1eeeeee77a7d4404e6ec6ad11dc807c13d263e"),
+    "oracle --k 6 --mu 1,1,1,1,1,1 --i 2 --format json":
+        (0, "c5ce811ab243a0083a0017a79a1c1f2e09c715a3632f6f3413a8e34322bdf56f"),
+    "oracle --k 6 --mu 1,1,1,1,1,1 --i 2 --format csv":
+        (0, "0b371d200ec82a71c773b5b29f5fb73e348910e8e02cf5625180922fa6d1d95f"),
+    "oracle --k 6 --mu 1,1,1,1,1,1 --i 2 --format text":
+        (0, "a0ab5d489e5aa805f7b8dc77e4685c7546bb3cb2beed3f23bcbc04d8c115b72d"),
+    "divisor even --g 8 --format json":
+        (0, "b51ef376e4bb152b0dc4ec76e6bf426228204a90f49ed4cfdf2e2e38ed275e01"),
+    "divisor even --g 8 --format csv":
+        (0, "a5244dd43588cdcbd829f262ec7fd644f706c7844810a65208e79f89b4813f8b"),
+    "divisor even --g 8 --format text":
+        (0, "d00ec37de1a4e1fa30e11a4f9cf3046ef24250ae2a35400bf70eed8dd6b1b7f8"),
+    "divisor syzygy-g7 --format json":
+        (0, "3fb42df6b98a4231b053e75a7e15a310958a3b78cc9df606d1b6336cc8aeb46c"),
+    "divisor syzygy-g7 --format csv":
+        (0, "6226e348650639a30ab3786ea97212e45f1b5f0e25d4fa28b41354ceb9970aa2"),
+    "divisor syzygy-g7 --format text":
+        (0, "fab53dc503ae25a833451a556bdb230d92085097caac14ecdb37391b6826c00f"),
+    "classes weierstrass --g 5 --format json":
+        (0, "f5278135c0c7f47c60afa6d995a38a8cf2d9ec187ce6887eab9968eb3f60b1a0"),
+    "classes weierstrass --g 5 --format csv":
+        (0, "3a6182b8bd2c4e7dbc50f18b7a134f440f307471e0dce31f6ace1e2fea5e3eb0"),
+    "classes weierstrass --g 5 --format text":
+        (0, "e5135ad927a44d824f38bccba84db736e993e6c6f28684261a8d700bac0f39c7"),
+    "classes kappa1 --b 10 --format json":
+        (0, "fa43a9aaa6d68b7f8d9b2d2f53a4c03376dc9c800505f196bd0fddfa8a6ffa19"),
+    "classes kappa1 --b 10 --format csv":
+        (0, "aaec8bda6bf757a08b4095e7de0b70c8d26fc57dc87707714135011798a0e536"),
+    "classes kappa1 --b 10 --format text":
+        (0, "2882457f79fc3a47279c303a99812cda00a78de237e0a94d0dc45ce93500cd9a"),
+    "classes canonical-m0b --b 10 --format json":
+        (0, "0aa6d85147281581272649e8903995ca7152476fc3b7fdd47bb6de63365e8fe5"),
+    "classes canonical-m0b --b 10 --format csv":
+        (0, "8819d61579a8b47f7ccc7a17b0e44921bdc66564dda5f302aede3d3cee9eaffb"),
+    "classes canonical-m0b --b 10 --format text":
+        (0, "15a7143bcec0f86f5fe64c4b2efb5adf1ec6e20a144eea80a309d0519b8d659c"),
+    "verify coarse --g 4 --k 5 --format json":
+        (1, "6f55991708a28971ce011b8bda4c6a508221fec7e6ec3165e05b3077d2db8124"),
+    "verify coarse --g 4 --k 5 --format csv":
+        (1, "ac2b27ece5c08c5949119c824694b6288e0d368d210284ba643003b3eb3e6871"),
+    "verify coarse --g 4 --k 5 --format text":
+        (1, "067227af43f21a07778a4c2af86170ba729e4a14eb23a21f14ad8f147d3d773d"),
 }
 
 
