@@ -174,15 +174,16 @@ class BignessCertificate:
     pullback minus alpha times the pulled-back kappa1 coefficient-wise
     non-negative.  Stack verdicts require every margin positive (so that
     alpha > 0 supplies the ample part); coarse verdicts allow zero margins,
-    which the strictly positive kappa1 pullback absorbs.
+    which the strictly positive kappa1 pullback absorbs.  Slope and alpha
+    are None only on a NoDivisor certificate.
     """
 
     g: int
     k: int
     mode: str
-    slope_used: Fraction
+    slope_used: Fraction | None
     per_index: tuple[IndexMargin, ...]
-    alpha: Fraction
+    alpha: Fraction | None
     hypotheses: tuple[str, ...]
     verdict: str
 
@@ -191,6 +192,14 @@ class BignessCertificate:
 
     def certified(self) -> bool:
         return self.verdict == VERDICT_CERTIFIED
+
+
+def no_divisor_certificate(g: int, k: int, mode: str) -> BignessCertificate:
+    """The certificate of a cell that no divisor of slope below 8 serves.
+
+    It has no slope, alpha, indices or hypotheses.
+    """
+    return BignessCertificate(g, k, mode, None, (), None, (), VERDICT_NO_DIVISOR)
 
 
 def _check_recipe(g: int, k: int, recipe: DivisorRecipe) -> None:
@@ -311,21 +320,20 @@ class ScanTable:
 
 
 def _scan_cell(g: int, k: int, recipe: DivisorRecipe | None) -> ScanRow:
+    coarse = coarse_range_ok(g, k)
     if recipe is None:
-        coarse = VERDICT_NO_DIVISOR if coarse_range_ok(g, k) else "n/a"
-        return ScanRow(g, k, "none", None, VERDICT_NO_DIVISOR, coarse, None)
-    stack_cert = verify_stack(g, k, recipe)
-    if coarse_range_ok(g, k):
-        coarse_verdict = verify_coarse(g, k, recipe).verdict
+        stack_cert = no_divisor_certificate(g, k, MODE_STACK)
+        coarse_cert = no_divisor_certificate(g, k, MODE_COARSE) if coarse else None
     else:
-        coarse_verdict = "n/a"
+        stack_cert = verify_stack(g, k, recipe)
+        coarse_cert = verify_coarse(g, k, recipe) if coarse else None
     return ScanRow(
         g=g,
         k=k,
-        recipe=recipe.name,
-        slope=recipe.slope,
+        recipe="none" if recipe is None else recipe.name,
+        slope=stack_cert.slope_used,
         stack_verdict=stack_cert.verdict,
-        coarse_verdict=coarse_verdict,
+        coarse_verdict="n/a" if coarse_cert is None else coarse_cert.verdict,
         min_margin=stack_cert.min_margin(),
     )
 

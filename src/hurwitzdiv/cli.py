@@ -17,6 +17,9 @@ available, 2 usage or hypothesis error, 3 I/O error.  Output formats: json
 read and written as "p/q" strings; floats are never accepted.  The
 environment variable HURWITZ_MAX_K (default 10) caps k as a resource guard
 on the partition lattice.
+
+This module builds no payload: it parses arguments, applies the k cap and
+hands each command's value to its three renderers in :mod:`.serialize`.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable
 
 from . import __version__
 from .bigness import (
-    VERDICT_CERTIFIED,
+    MODE_COARSE,
+    MODE_STACK,
+    no_divisor_certificate,
     scan,
     verify_coarse,
     verify_stack,
@@ -49,26 +53,30 @@ from .lowslope import (
     user_divisor,
 )
 from .partitions import (
+    OracleReport,
     count_transposition_factorizations,
     transposition_feasible,
 )
 from .serialize import (
-    CERTIFICATE_CSV_HEADER,
     certificate_csv,
     certificate_text,
     certificate_to_obj,
-    csv_text,
     divisor_class_csv,
     divisor_class_text,
     divisor_class_to_obj,
-    dumps_canonical,
+    envelope_json,
     hurwitz_class_csv,
     hurwitz_class_text,
     hurwitz_class_to_obj,
+    oracle_report_csv,
+    oracle_report_text,
+    oracle_report_to_obj,
     parse_partition,
     parse_rational,
+    recipe_csv,
     recipe_text,
     recipe_to_obj,
+    scan_summary_text,
     scan_table_csv,
     scan_table_text,
     scan_table_to_obj,
@@ -78,16 +86,12 @@ from .spaces import canonical_class_m0b, kappa1_m0b, weierstrass_class
 DEFAULT_MAX_K = 10
 
 
-def _max_k() -> int:
+def _check_k_cap(k: int) -> None:
     raw = os.environ.get("HURWITZ_MAX_K", str(DEFAULT_MAX_K))
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise InputError(f"HURWITZ_MAX_K must be an integer, got {raw!r}") from None
-
-
-def _check_k_cap(k: int) -> None:
-    cap = _max_k()
     if k > cap:
         raise InputError(f"k = {k} exceeds the HURWITZ_MAX_K cap ({cap})")
 
@@ -98,23 +102,14 @@ def _require(args: argparse.Namespace, names: list[str], command: str) -> None:
             raise InputError(f"`{command}` requires --{name}")
 
 
-def _emit(args: argparse.Namespace, argv: list[str], payload_type: str,
-          to_obj: Callable[[], dict], to_csv: Callable[[], str],
-          to_text: Callable[[], str]) -> None:
-    """Write the requested format; only its renderer is called."""
+def _emit(args: argparse.Namespace, argv: list[str], value, to_obj, to_csv, to_text) -> None:
+    """Write `value` with the renderer of the requested format; no other runs."""
     if args.format == "json":
-        envelope = {
-            "command": "hurwitzdiv " + " ".join(argv),
-            "format": args.format,
-            "payload": to_obj(),
-            "payload_type": payload_type,
-            "tool_version": __version__,
-        }
-        sys.stdout.write(dumps_canonical(envelope))
+        sys.stdout.write(envelope_json(argv, value, to_obj(value)))
     elif args.format == "csv":
-        sys.stdout.write(to_csv())
+        sys.stdout.write(to_csv(value))
     else:
-        sys.stdout.write(to_text())
+        sys.stdout.write(to_text(value))
 
 
 def _run_classes(args: argparse.Namespace, argv: list[str]) -> int:
@@ -131,8 +126,7 @@ def _run_classes(args: argparse.Namespace, argv: list[str]) -> int:
         else:
             _require(args, ["i"], "classes branch-pullback")
             cls = branch_pullback_boundary(args.g, args.k, args.i)
-        _emit(args, argv, "HurwitzClass", lambda: hurwitz_class_to_obj(cls),
-              lambda: hurwitz_class_csv(cls), lambda: hurwitz_class_text(cls))
+        _emit(args, argv, cls, hurwitz_class_to_obj, hurwitz_class_csv, hurwitz_class_text)
         return 0
     if subject in ("kappa1", "canonical-m0b"):
         _require(args, ["b"], "classes")
@@ -142,38 +136,21 @@ def _run_classes(args: argparse.Namespace, argv: list[str]) -> int:
         divisor = weierstrass_class(args.g)
     else:
         raise InputError(f"unknown classes subject {subject!r}")
-    _emit(args, argv, "DivisorClass", lambda: divisor_class_to_obj(divisor),
-          lambda: divisor_class_csv(divisor), lambda: divisor_class_text(divisor))
+    _emit(args, argv, divisor, divisor_class_to_obj, divisor_class_csv, divisor_class_text)
     return 0
 
 
 def _run_divisor(args: argparse.Namespace, argv: list[str]) -> int:
-    if args.kind == "even":
-        _require(args, ["g"], "divisor even")
-        recipe = second_hilbert_divisor(args.g)
-    elif args.kind == "odd":
-        _require(args, ["g"], "divisor odd")
-        recipe = odd_genus_divisor(args.g)
-    else:
+    if args.kind == "syzygy-g7":
         if args.g is not None and args.g != 7:
             raise InputError("the syzygy divisor lives in genus 7")
         recipe = syzygy_divisor_g7()
-    _emit(args, argv, "DivisorRecipe", lambda: recipe_to_obj(recipe),
-          lambda: divisor_class_csv(recipe.divisor_class), lambda: recipe_text(recipe))
+    else:
+        _require(args, ["g"], f"divisor {args.kind}")
+        build = second_hilbert_divisor if args.kind == "even" else odd_genus_divisor
+        recipe = build(args.g)
+    _emit(args, argv, recipe, recipe_to_obj, recipe_csv, recipe_text)
     return 0
-
-
-def _no_divisor_certificate_obj(g: int, k: int, mode: str) -> dict:
-    return {
-        "g": g,
-        "k": k,
-        "mode": mode,
-        "slope": "",
-        "alpha": "",
-        "indices": [],
-        "hypotheses": [],
-        "verdict": "NoDivisor",
-    }
 
 
 def _resolve_recipe(args: argparse.Namespace) -> DivisorRecipe | None:
@@ -190,22 +167,14 @@ def _resolve_recipe(args: argparse.Namespace) -> DivisorRecipe | None:
 def _run_verify(args: argparse.Namespace, argv: list[str]) -> int:
     _require(args, ["g", "k"], "verify")
     _check_k_cap(args.k)
-    mode = "Stack" if args.mode == "stack" else "Coarse"
     recipe = _resolve_recipe(args)
+    stack = args.mode == "stack"
     if recipe is None:
-        obj = _no_divisor_certificate_obj(args.g, args.k, mode)
-        text = (
-            f"bigness certificate: mode={mode}, g={args.g}, k={args.k}\n"
-            "verdict: NoDivisor (no built-in divisor of slope below 8 serves this cell)\n"
-        )
-        _emit(args, argv, "BignessCertificate", lambda: obj,
-              lambda: csv_text(CERTIFICATE_CSV_HEADER, ()), lambda: text)
-        return 1
-    verify = verify_stack if args.mode == "stack" else verify_coarse
-    cert = verify(args.g, args.k, recipe)
-    _emit(args, argv, "BignessCertificate", lambda: certificate_to_obj(cert),
-          lambda: certificate_csv(cert), lambda: certificate_text(cert))
-    return 0 if cert.verdict == VERDICT_CERTIFIED else 1
+        cert = no_divisor_certificate(args.g, args.k, MODE_STACK if stack else MODE_COARSE)
+    else:
+        cert = (verify_stack if stack else verify_coarse)(args.g, args.k, recipe)
+    _emit(args, argv, cert, certificate_to_obj, certificate_csv, certificate_text)
+    return 0 if cert.certified() else 1
 
 
 def _run_scan(args: argparse.Namespace, argv: list[str]) -> int:
@@ -214,10 +183,6 @@ def _run_scan(args: argparse.Namespace, argv: list[str]) -> int:
     if k_min <= k_max:
         _check_k_cap(k_max)
     table = scan(k_min, k_max, g_min, g_max)
-    summary = (
-        f"cells: {len(table.rows)}; certified stack: {table.certified_stack()}; "
-        f"certified coarse: {table.certified_coarse()}\n"
-    )
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -225,11 +190,10 @@ def _run_scan(args: argparse.Namespace, argv: list[str]) -> int:
         except OSError as exc:
             sys.stderr.write(f"error: cannot write {args.out}: {exc}\n")
             return 3
-        sys.stdout.write(summary)
+        sys.stdout.write(scan_summary_text(table))
         return 0
-    _emit(args, argv, "ScanTable", lambda: scan_table_to_obj(table),
-          lambda: scan_table_csv(table), lambda: scan_table_text(table))
-    sys.stderr.write(summary)
+    _emit(args, argv, table, scan_table_to_obj, scan_table_csv, scan_table_text)
+    sys.stderr.write(scan_summary_text(table))
     return 0
 
 
@@ -240,24 +204,8 @@ def _run_oracle(args: argparse.Namespace, argv: list[str]) -> int:
     if mu.weight != args.k:
         raise InputError(f"mu = {mu} has weight {mu.weight}, expected k = {args.k}")
     count = count_transposition_factorizations(mu, args.i)
-    feasible = transposition_feasible(mu, args.i)
-    obj = {
-        "k": args.k,
-        "mu": list(mu.parts),
-        "i": args.i,
-        "count": str(count),
-        "feasible": feasible,
-        "agree": (count > 0) == feasible,
-    }
-    table = csv_text(["k", "mu", "i", "count", "feasible", "agree"],
-                     [[args.k, str(mu), args.i, count, feasible, obj["agree"]]])
-    text = (
-        f"k={args.k} mu={mu} i={args.i}\n"
-        f"count:    {count}\n"
-        f"feasible: {feasible}\n"
-        f"agree:    {obj['agree']}\n"
-    )
-    _emit(args, argv, "OracleReport", lambda: obj, lambda: table, lambda: text)
+    report = OracleReport(mu, args.i, count, transposition_feasible(mu, args.i))
+    _emit(args, argv, report, oracle_report_to_obj, oracle_report_csv, oracle_report_text)
     return 0
 
 

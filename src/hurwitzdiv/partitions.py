@@ -291,6 +291,20 @@ def count_transposition_factorizations(mu: Partition, i: int) -> int:
     return transposition_power_vector(mu.weight, i).count_for(mu)
 
 
+@dataclass(frozen=True)
+class OracleReport:
+    """The factorization count of (mu, i) beside the feasibility criterion."""
+
+    mu: Partition
+    i: int
+    count: int
+    feasible: bool
+
+    @property
+    def agree(self) -> bool:
+        return (self.count > 0) == self.feasible
+
+
 MAX_NAIVE_WEIGHT = 5
 MAX_NAIVE_TUPLES = 2_000_000
 

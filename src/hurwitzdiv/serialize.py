@@ -1,12 +1,15 @@
 """Lossless JSON / CSV / text encodings of every value the package emits.
 
+Every payload layout lives here; the command-line interface builds none.
 Rationals travel as canonical strings "p/q" with gcd(p, q) = 1 and q > 0
 (plain "p" for integers); no floating point ever enters json or csv output.
 JSON objects are emitted with sorted keys and a fixed layout, so identical
-inputs yield byte-identical documents; every `*_to_obj` has a `*_from_obj`
-inverse and the round trip is exact.  CSV uses LF line endings and a header
-row.  Text rendering is for human eyes only and may add a 6-significant-
-digit decimal hint next to the exact value.
+inputs yield byte-identical documents.  Every `*_to_obj` has a `*_from_obj`
+inverse and the round trip is exact, NoDivisor certificates included; only
+the oracle report has no decoder.  CSV uses LF line endings and a header
+row, and its columns are keys of the JSON rows (the cover-space class table
+adds m_mu).  Text rendering is for human eyes only and may add a
+6-significant-digit decimal hint next to the exact value.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import re
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .bigness import BignessCertificate, IndexMargin, ScanRow, ScanTable
+from . import __version__
+from .bigness import VERDICT_NO_DIVISOR, BignessCertificate, IndexMargin, ScanRow, ScanTable
 from .errors import InputError
 from .hurwitz import BoundaryIndex, HurwitzClass
 from .lowslope import DivisorRecipe
-from .partitions import Partition, lcm_of
+from .partitions import OracleReport, Partition, lcm_of
 from .pushpull import QuadraticClass
 from .spaces import KIND_M0B, DivisorClass, Space
 
@@ -46,6 +50,14 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"not a rational number: {text!r}") from exc
 
 
+def _optional_rational_str(value: Fraction | None) -> str:
+    return rational_str(value) if value is not None else ""
+
+
+def _parse_optional_rational(text: str) -> Fraction | None:
+    return parse_rational(text) if text else None
+
+
 def rational_text(value: Fraction) -> str:
     """Exact value plus a decimal hint, for text output only."""
     value = Fraction(value)
@@ -54,13 +66,31 @@ def rational_text(value: Fraction) -> str:
     return f"{value} (~{float(value):.6g})"
 
 
-def csv_text(header: list[str], rows: Iterable[list]) -> str:
-    """A CSV document: the header row, then one line per row, LF line endings."""
+def _csv_cell(value):
+    # a JSON list such as a partition prints as [2,1], the form of str(Partition)
+    return "[" + ",".join(map(str, value)) + "]" if isinstance(value, list) else value
+
+
+def json_rows_csv(columns: list[str], rows: Iterable[dict]) -> str:
+    """A CSV document of the named keys of JSON rows: a header, then LF-ended lines."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(row[key]) for key in columns] for row in rows)
     return buffer.getvalue()
+
+
+def envelope_json(argv: list[str], value, payload: dict) -> str:
+    """The JSON document of one command: the payload of `value` in the versioned envelope."""
+    return dumps_canonical(
+        {
+            "command": "hurwitzdiv " + " ".join(argv),
+            "format": "json",
+            "payload": payload,
+            "payload_type": type(value).__name__,
+            "tool_version": __version__,
+        }
+    )
 
 
 def parse_partition(text: str) -> Partition:
@@ -141,9 +171,7 @@ def quadratic_class_from_obj(obj: dict) -> QuadraticClass:
 
 
 def divisor_class_csv(divisor: DivisorClass) -> str:
-    return csv_text(
-        ["basis", "value"], ([label, rational_str(value)] for label, value in divisor.coeffs)
-    )
+    return json_rows_csv(["basis", "value"], divisor_class_to_obj(divisor)["coefficients"])
 
 
 def divisor_class_text(divisor: DivisorClass) -> str:
@@ -185,12 +213,11 @@ def hurwitz_class_from_obj(obj: dict) -> HurwitzClass:
 
 
 def hurwitz_class_csv(cls: HurwitzClass) -> str:
-    def rows():
-        for (i, parts), value in cls.coeffs:
-            mu = Partition(parts)
-            yield [i, str(mu), lcm_of(mu), rational_str(value)]
-
-    return csv_text(["i", "mu", "m_mu", "value"], rows())
+    # m_mu is the one column that the JSON rows do not carry
+    rows = hurwitz_class_to_obj(cls)["coefficients"]
+    for row in rows:
+        row["m_mu"] = lcm_of(Partition(tuple(row["mu"])))
+    return json_rows_csv(["i", "mu", "m_mu", "value"], rows)
 
 
 def hurwitz_class_text(cls: HurwitzClass) -> str:
@@ -225,6 +252,10 @@ def recipe_from_obj(obj: dict) -> DivisorRecipe:
     )
 
 
+def recipe_csv(recipe: DivisorRecipe) -> str:
+    return divisor_class_csv(recipe.divisor_class)
+
+
 def recipe_text(recipe: DivisorRecipe) -> str:
     lines = [
         f"divisor: {recipe.name} (g={recipe.g})",
@@ -247,8 +278,8 @@ def certificate_to_obj(cert: BignessCertificate) -> dict:
         "g": cert.g,
         "k": cert.k,
         "mode": cert.mode,
-        "slope": rational_str(cert.slope_used),
-        "alpha": rational_str(cert.alpha),
+        "slope": _optional_rational_str(cert.slope_used),
+        "alpha": _optional_rational_str(cert.alpha),
         "indices": [
             {
                 "i": entry.index.i,
@@ -281,37 +312,28 @@ def certificate_from_obj(obj: dict) -> BignessCertificate:
         g=obj["g"],
         k=obj["k"],
         mode=obj["mode"],
-        slope_used=parse_rational(obj["slope"]),
+        slope_used=_parse_optional_rational(obj["slope"]),
         per_index=entries,
-        alpha=parse_rational(obj["alpha"]),
+        alpha=_parse_optional_rational(obj["alpha"]),
         hypotheses=tuple(obj["hypotheses"]),
         verdict=obj["verdict"],
     )
 
 
-CERTIFICATE_CSV_HEADER = ["i", "mu", "margin", "sigma_bound", "sharp", "note"]
-
-
 def certificate_csv(cert: BignessCertificate) -> str:
-    return csv_text(
-        CERTIFICATE_CSV_HEADER,
-        (
-            [
-                entry.index.i,
-                str(entry.index.mu),
-                rational_str(entry.margin),
-                rational_str(entry.sigma_bound),
-                entry.sharp,
-                entry.note,
-            ]
-            for entry in cert.per_index
-        ),
-    )
+    columns = ["i", "mu", "margin", "sigma_bound", "sharp", "note"]
+    return json_rows_csv(columns, certificate_to_obj(cert)["indices"])
 
 
 def certificate_text(cert: BignessCertificate) -> str:
+    head = f"bigness certificate: mode={cert.mode}, g={cert.g}, k={cert.k}"
+    if cert.verdict == VERDICT_NO_DIVISOR:
+        return (
+            f"{head}\n"
+            "verdict: NoDivisor (no built-in divisor of slope below 8 serves this cell)\n"
+        )
     lines = [
-        f"bigness certificate: mode={cert.mode}, g={cert.g}, k={cert.k}",
+        head,
         f"slope: {rational_text(cert.slope_used)}",
         f"alpha: {rational_text(cert.alpha)}",
         f"verdict: {cert.verdict}",
@@ -330,10 +352,6 @@ def certificate_text(cert: BignessCertificate) -> str:
 
 
 # -- scan tables -------------------------------------------------------------
-
-
-def _optional_rational_str(value: Fraction | None) -> str:
-    return rational_str(value) if value is not None else ""
 
 
 def scan_table_to_obj(table: ScanTable) -> dict:
@@ -360,10 +378,10 @@ def scan_table_from_obj(obj: dict) -> ScanTable:
             g=entry["g"],
             k=entry["k"],
             recipe=entry["recipe"],
-            slope=parse_rational(entry["slope"]) if entry["slope"] else None,
+            slope=_parse_optional_rational(entry["slope"]),
             stack_verdict=entry["stack_verdict"],
             coarse_verdict=entry["coarse_verdict"],
-            min_margin=parse_rational(entry["min_margin"]) if entry["min_margin"] else None,
+            min_margin=_parse_optional_rational(entry["min_margin"]),
         )
         for entry in obj["rows"]
     )
@@ -371,21 +389,8 @@ def scan_table_from_obj(obj: dict) -> ScanTable:
 
 
 def scan_table_csv(table: ScanTable) -> str:
-    return csv_text(
-        ["g", "k", "recipe", "slope", "stack_verdict", "coarse_verdict", "min_margin"],
-        (
-            [
-                row.g,
-                row.k,
-                row.recipe,
-                _optional_rational_str(row.slope),
-                row.stack_verdict,
-                row.coarse_verdict,
-                _optional_rational_str(row.min_margin),
-            ]
-            for row in table.rows
-        ),
-    )
+    columns = ["g", "k", "recipe", "slope", "stack_verdict", "coarse_verdict", "min_margin"]
+    return json_rows_csv(columns, scan_table_to_obj(table)["rows"])
 
 
 def scan_table_text(table: ScanTable) -> str:
@@ -397,6 +402,41 @@ def scan_table_text(table: ScanTable) -> str:
             f"{row.stack_verdict:<10s} {row.coarse_verdict}"
         )
     return "\n".join(lines) + "\n"
+
+
+def scan_summary_text(table: ScanTable) -> str:
+    return (
+        f"cells: {len(table.rows)}; certified stack: {table.certified_stack()}; "
+        f"certified coarse: {table.certified_coarse()}\n"
+    )
+
+
+# -- oracle reports (output only: no decoder) ---------------------------------
+
+
+def oracle_report_to_obj(report: OracleReport) -> dict:
+    return {
+        "k": report.mu.weight,
+        "mu": list(report.mu.parts),
+        "i": report.i,
+        "count": str(report.count),
+        "feasible": report.feasible,
+        "agree": report.agree,
+    }
+
+
+def oracle_report_csv(report: OracleReport) -> str:
+    obj = oracle_report_to_obj(report)
+    return json_rows_csv(list(obj), [obj])
+
+
+def oracle_report_text(report: OracleReport) -> str:
+    return (
+        f"k={report.mu.weight} mu={report.mu} i={report.i}\n"
+        f"count:    {report.count}\n"
+        f"feasible: {report.feasible}\n"
+        f"agree:    {report.agree}\n"
+    )
 
 
 def dumps_canonical(obj: dict) -> str:

@@ -10,10 +10,12 @@ import pytest
 from hurwitzdiv import (
     DivisorClass,
     InputError,
+    Partition,
     QuadraticClass,
     best_recipe,
     canonical_class_coarse,
     hodge_class,
+    no_divisor_certificate,
     scan,
     space_m0b,
     space_mg,
@@ -22,6 +24,8 @@ from hurwitzdiv import (
     verify_stack,
     weierstrass_class,
 )
+from hurwitzdiv.bigness import MODE_COARSE, MODE_STACK
+from hurwitzdiv.cli import main
 from hurwitzdiv.serialize import (
     certificate_csv,
     certificate_from_obj,
@@ -33,6 +37,7 @@ from hurwitzdiv.serialize import (
     hurwitz_class_csv,
     hurwitz_class_from_obj,
     hurwitz_class_to_obj,
+    json_rows_csv,
     parse_partition,
     parse_rational,
     quadratic_class_from_obj,
@@ -146,6 +151,28 @@ def test_certificate_round_trip_stack_and_coarse():
         for entry in obj["indices"]:
             assert set(entry) == {"i", "mu", "margin", "sigma_bound", "sharp", "note"}
             assert entry["sharp"] in (0, 1)
+
+
+def test_no_divisor_certificates_round_trip(capsys):
+    for mode in (MODE_STACK, MODE_COARSE):
+        cert = no_divisor_certificate(13, 3, mode)
+        obj = certificate_to_obj(cert)
+        assert (obj["slope"], obj["alpha"], obj["indices"]) == ("", "", [])
+        assert certificate_from_obj(obj) == cert
+    # the payloads the CLI writes for cells without a divisor decode and re-encode
+    for command in ("verify stack --g 13 --k 3", "verify coarse --g 4 --k 5"):
+        assert main(command.split()) == 1
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        cert = certificate_from_obj(payload)
+        assert cert.verdict == "NoDivisor"
+        assert certificate_to_obj(cert) == payload
+
+
+def test_json_rows_csv_prints_lists_like_partitions():
+    rows = [{"mu": [2, 1], "n": 3, "x": "-1/2"}]
+    assert json_rows_csv(["mu", "n"], rows) == 'mu,n\n"[2,1]",3\n'
+    assert json_rows_csv(["mu"], rows).splitlines()[1] == f'"{Partition((2, 1))}"'
+    assert json_rows_csv(["mu", "n"], []) == "mu,n\n"
 
 
 _ENCODED = {
