@@ -193,6 +193,26 @@ class BignessCertificate:
     def certified(self) -> bool:
         return self.verdict == VERDICT_CERTIFIED
 
+    def consistent(self) -> bool:
+        """Does the verdict agree with the certificate's own margins and alpha?
+
+        NoDivisor needs no slope, alpha or indices.  Otherwise the verdict
+        must be the one that alpha and the least margin give.  This checks
+        the record against itself and re-derives no margin.
+        """
+        if self.verdict == VERDICT_NO_DIVISOR:
+            return self.slope_used is None and self.alpha is None and not self.per_index
+        if self.mode not in (MODE_STACK, MODE_COARSE) or None in (self.slope_used, self.alpha):
+            return False
+        lowest = min([self.alpha] + [entry.margin for entry in self.per_index])
+        return self.verdict == _verdict(self.mode, lowest)
+
+
+def _verdict(mode: str, lowest: Fraction) -> str:
+    """A stack verdict needs `lowest` positive, a coarse one non-negative."""
+    certified = lowest >= 0 if mode == MODE_COARSE else lowest > 0
+    return VERDICT_CERTIFIED if certified else VERDICT_FAILED
+
 
 def no_divisor_certificate(g: int, k: int, mode: str) -> BignessCertificate:
     """The certificate of a cell that no divisor of slope below 8 serves.
@@ -270,9 +290,8 @@ def _verify(g: int, k: int, recipe: DivisorRecipe, mode: str) -> BignessCertific
             f"the cover-to-curve map is generically finite onto the {k}-gonal locus (assumed)"
         )
         notes = (finite,) + notes + (_COARSE_LIMIT_NOTE,)
-    # Each alpha ratio has the sign of its margin: alpha > 0 iff every margin
-    # is positive, alpha >= 0 iff none is negative.
-    certified = alpha >= 0 if coarse else alpha > 0
+    # Each alpha ratio has the sign of its margin, so alpha has the sign of
+    # the least margin and the verdict reads alpha alone.
     return BignessCertificate(
         g=g,
         k=k,
@@ -281,7 +300,7 @@ def _verify(g: int, k: int, recipe: DivisorRecipe, mode: str) -> BignessCertific
         per_index=entries,
         alpha=alpha,
         hypotheses=recipe.hypotheses + notes,
-        verdict=VERDICT_CERTIFIED if certified else VERDICT_FAILED,
+        verdict=_verdict(mode, alpha),
     )
 
 

@@ -40,6 +40,7 @@ from .spaces import (
     pseudostable_pullback,
     slope,
     space_mg,
+    space_mg_pointed,
     space_mg_pseudostable,
     weierstrass_class,
 )
@@ -179,15 +180,20 @@ def odd_genus_divisor(g: int) -> DivisorRecipe:
     Start from the even-genus class in genus h = g+1, normalised by
     2/(h(h+1)) to lambda coefficient 7 + 6/h, pull back along the
     elliptic-tail map, multiply by the Weierstrass divisor, and push forward
-    along the forgetful map.
+    along the forgetful map.  The pushforward kills every monomial without
+    psi, so with a and w the psi coefficients of the pulled-back class A and
+    of the Weierstrass class W only the psi terms of A*W are built:
+    a psi*W + w psi*(A - a psi), O(g) terms instead of O(g^2).
     """
     if not isinstance(g, int) or g < 5 or g % 2 != 1:
         raise InputError(f"the odd-genus divisor needs odd g >= 5, got {g!r}")
     h = g + 1
-    even_class = Fraction(2, h * (h + 1)) * _second_hilbert_class(h)
-
+    pulled = elliptic_tail_pullback(Fraction(2, h * (h + 1)) * _second_hilbert_class(h))
+    weierstrass = weierstrass_class(g)
+    psi = DivisorClass.make(space_mg_pointed(g), {"psi": 1})
+    a, w = pulled.coefficient("psi"), weierstrass.coefficient("psi")
     pushed = forgetful_pushforward(
-        multiply(elliptic_tail_pullback(even_class), weierstrass_class(g))
+        a * multiply(psi, weierstrass) + w * multiply(psi, pulled - a * psi)
     )
     s = slope(pushed)
     if s is None:

@@ -308,7 +308,7 @@ def certificate_from_obj(obj: dict) -> BignessCertificate:
         )
         for entry in obj["indices"]
     )
-    return BignessCertificate(
+    cert = BignessCertificate(
         g=obj["g"],
         k=obj["k"],
         mode=obj["mode"],
@@ -318,6 +318,12 @@ def certificate_from_obj(obj: dict) -> BignessCertificate:
         hypotheses=tuple(obj["hypotheses"]),
         verdict=obj["verdict"],
     )
+    if not cert.consistent():
+        raise InputError(
+            f"certificate_from_obj: the verdict {cert.verdict!r} disagrees with the "
+            "certificate's own margins and alpha"
+        )
+    return cert
 
 
 def certificate_csv(cert: BignessCertificate) -> str:

@@ -12,6 +12,9 @@ from hurwitzdiv import (
     InvariantError,
     avoided_gonality,
     best_recipe,
+    elliptic_tail_pullback,
+    forgetful_pushforward,
+    multiply,
     odd_genus_divisor,
     odd_genus_slope,
     second_hilbert_divisor,
@@ -19,6 +22,7 @@ from hurwitzdiv import (
     syzygy_divisor_g7,
     third_hilbert_divisor,
     user_divisor,
+    weierstrass_class,
 )
 
 F = Fraction
@@ -59,6 +63,17 @@ def test_odd_divisor_examples():
         odd_genus_divisor(8)
     with pytest.raises(InputError):
         odd_genus_divisor(3)
+
+
+def test_odd_divisor_equals_the_full_pushforward_of_the_product():
+    # the psi-row construction against pushforward(multiply(A, W)) over all of A*W
+    for g in range(5, 42, 2):
+        h = g + 1
+        even = F(2, h * (h + 1)) * second_hilbert_divisor(h).divisor_class
+        full = forgetful_pushforward(multiply(elliptic_tail_pullback(even), weierstrass_class(g)))
+        recipe = odd_genus_divisor(g)
+        assert recipe.divisor_class == full, g
+        assert recipe.slope == odd_genus_slope(g)
 
 
 def test_odd_divisor_undefined_slope_is_an_invariant_error(monkeypatch):

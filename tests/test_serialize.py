@@ -168,6 +168,46 @@ def test_no_divisor_certificates_round_trip(capsys):
         assert certificate_to_obj(cert) == payload
 
 
+def _edited(obj: dict, **changes) -> dict:
+    obj = json.loads(json.dumps(obj))
+    for key, value in changes.items():
+        if key == "margin":
+            obj["indices"][0]["margin"] = value
+        else:
+            obj[key] = value
+    return obj
+
+
+def test_certificate_decoder_rejects_a_verdict_its_margins_contradict():
+    stack = certificate_to_obj(verify_stack(10, 4, best_recipe(10, 4)))
+    coarse = certificate_to_obj(verify_coarse(8, 3, best_recipe(8, 3)))
+    no_divisor = certificate_to_obj(no_divisor_certificate(13, 3, MODE_STACK))
+    assert stack["verdict"] == coarse["verdict"] == "Certified"
+    assert any(entry["margin"] == "0" for entry in coarse["indices"])
+    assert coarse["alpha"] == "0"
+    for obj in (stack, coarse, no_divisor):
+        assert certificate_to_obj(certificate_from_obj(obj)) == obj
+    for obj in (
+        _edited(stack, margin="-5"),
+        _edited(stack, margin="0"),
+        _edited(stack, alpha="-1"),
+        _edited(stack, alpha=""),
+        _edited(stack, verdict="Failed"),
+        _edited(stack, verdict="Proved"),
+        _edited(stack, mode="Both"),
+        _edited(coarse, margin="-1/2"),
+        _edited(no_divisor, slope="15/2"),
+        _edited(no_divisor, alpha="1"),
+        _edited(no_divisor, indices=stack["indices"]),
+        _edited(no_divisor, verdict="Certified"),
+    ):
+        with pytest.raises(InputError):
+            certificate_from_obj(obj)
+    # a verdict of Failed is consistent with a negative margin and alpha
+    failed = _edited(stack, margin="-5", alpha="-1", verdict="Failed")
+    assert certificate_from_obj(failed).verdict == "Failed"
+
+
 def test_json_rows_csv_prints_lists_like_partitions():
     rows = [{"mu": [2, 1], "n": 3, "x": "-1/2"}]
     assert json_rows_csv(["mu", "n"], rows) == 'mu,n\n"[2,1]",3\n'
