@@ -29,7 +29,6 @@ from .bigness import (
     SigmaDeltaBound,
     coarse_inequality_lhs,
     coarse_range_ok,
-    no_divisor_certificate,
     scan,
     sigma_delta_lower_bound,
     stack_inequality_lhs,
@@ -63,7 +62,6 @@ from .lowslope import (
 )
 from .partitions import (
     CycleTypeVector,
-    OracleReport,
     Partition,
     conjugacy_class_size,
     contains_subpartition,
@@ -117,7 +115,6 @@ __all__ = [
     "transposition_power_vector",
     "count_transposition_factorizations",
     "count_factorizations_naive",
-    "OracleReport",
     # spaces
     "Space",
     "DivisorClass",
@@ -170,6 +167,5 @@ __all__ = [
     "coarse_range_ok",
     "verify_stack",
     "verify_coarse",
-    "no_divisor_certificate",
     "scan",
 ]

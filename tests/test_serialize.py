@@ -15,7 +15,6 @@ from hurwitzdiv import (
     best_recipe,
     canonical_class_coarse,
     hodge_class,
-    no_divisor_certificate,
     scan,
     space_m0b,
     space_mg,
@@ -24,7 +23,7 @@ from hurwitzdiv import (
     verify_stack,
     weierstrass_class,
 )
-from hurwitzdiv.bigness import MODE_COARSE, MODE_STACK
+from hurwitzdiv.bigness import MODE_COARSE, MODE_STACK, no_divisor_certificate
 from hurwitzdiv.cli import main
 from hurwitzdiv.serialize import (
     certificate_csv,
