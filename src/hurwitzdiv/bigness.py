@@ -34,9 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import HypothesisError, InputError
-from .hurwitz import BoundaryIndex, _affine, _class_terms, boundary_index_set
+from .errors import HypothesisError, InputError, InvariantError
+from .hurwitz import BoundaryIndex, _affine, _check_gk, _class_terms, boundary_index_set
 from .lowslope import DivisorRecipe, avoided_gonality, genus_recipe, recipe_for_degree
+from .partitions import partition_table
 
 MODE_STACK = "Stack"
 MODE_COARSE = "Coarse"
@@ -338,30 +339,59 @@ class ScanTable:
         return sum(1 for row in self.rows if row.coarse_verdict == VERDICT_CERTIFIED)
 
 
+def _least_margin(g: int, k: int, rows: dict[tuple[int, ...], tuple]) -> Fraction:
+    """The least margin of one mode over the boundary indices of (g, k).
+
+    Endpoint rule: on a partition mu the margin is a q + c with
+    q = i(b-i)/(b-1), which increases on [2, b/2], and a >= 0 (a = m(1 - s/8)
+    in the stack mode with s < 8, a = 0 in the coarse slope-8 limit).  So the
+    least margin of mu is at its smallest feasible index i0: drop = k - l(mu)
+    if drop >= 2, else drop + 2, the least i >= 2 of the parity of drop.
+    Every partition has this index, since i0 <= max(k - 1, 3) < b/2 for
+    g >= 2.  This evaluates one margin per partition, O(p(k)), where the
+    certificate lists all O(b p(k)) of them.
+    """
+    b = 2 * g + 2 * k - 2
+    best_num = best_den = None
+    for row in partition_table(k):
+        i = row.drop if row.drop >= 2 else row.drop + 2
+        a, c = rows[row.mu.parts][:2]
+        if a < 0:
+            raise InvariantError(f"the margin of mu = {row.mu} decreases in q (a = {a})")
+        p, r, d = _affine(a, c, b)
+        num = p * i * (b - i) + r
+        if best_num is None or num * best_den < best_num * d:
+            best_num, best_den = num, d
+    return Fraction(best_num, best_den)
+
+
 def _scan_cell(g: int, k: int, recipe: DivisorRecipe | None) -> ScanRow:
+    """The scan row of one cell from its least margins; no certificate is built.
+
+    The checks are those of `_verify`.  Each alpha ratio has the sign of its
+    margin, so a verdict read from the least margin is the certificate's.
+    """
+    _check_gk(g, k)
     coarse = coarse_range_ok(g, k)
     if recipe is None:
-        stack_cert = no_divisor_certificate(g, k, MODE_STACK)
-        coarse_cert = no_divisor_certificate(g, k, MODE_COARSE) if coarse else None
-    else:
-        stack_cert = verify_stack(g, k, recipe)
-        coarse_cert = verify_coarse(g, k, recipe) if coarse else None
-    return ScanRow(
-        g=g,
-        k=k,
-        recipe="none" if recipe is None else recipe.name,
-        slope=stack_cert.slope_used,
-        stack_verdict=stack_cert.verdict,
-        coarse_verdict="n/a" if coarse_cert is None else coarse_cert.verdict,
-        min_margin=stack_cert.min_margin(),
-    )
+        verdict = no_divisor_certificate(g, k, MODE_STACK).verdict
+        return ScanRow(g, k, "none", None, verdict, verdict if coarse else "n/a", None)
+    _check_recipe(g, k, recipe)
+    s = _check_slope(recipe.slope)
+    lowest = _least_margin(g, k, _margin_rows(k, s, coarse=False))
+    coarse_verdict = "n/a"
+    if coarse:
+        coarse_verdict = _verdict(MODE_COARSE, _least_margin(g, k, _coarse_rows(k)))
+    return ScanRow(g, k, recipe.name, s, _verdict(MODE_STACK, lowest), coarse_verdict, lowest)
 
 
 def scan(k_min: int, k_max: int, g_min: int, g_max: int) -> ScanTable:
-    """Run the stack and coarse verifications over a rectangle of (g, k) cells.
+    """The stack and coarse verdicts of a rectangle of (g, k) cells.
 
     Rows come back in (g, k) order.  The divisor of each genus is built once
-    and extended to every k of the rectangle.
+    and extended to every k of the rectangle.  Each row carries the verdicts
+    and the least stack margin that `verify_stack` and `verify_coarse` would
+    give, read from one index per partition (`_least_margin`).
     """
     for name, value in (("k_min", k_min), ("k_max", k_max), ("g_min", g_min), ("g_max", g_max)):
         if not isinstance(value, int):

@@ -91,6 +91,17 @@ def boundary_index_set(g: int, k: int) -> list[BoundaryIndex]:
     return list(_boundary_indices(g, k))
 
 
+def boundary_index(g: int, k: int, i: int, parts: tuple[int, ...]) -> BoundaryIndex:
+    """The boundary index (i, mu) of (g, k); InputError unless it is in `boundary_index_set`."""
+    _check_gk(g, k)
+    mu = Partition(parts)
+    if not isinstance(i, int) or (i, mu.parts) not in _index_positions(g, k):
+        raise InputError(
+            f"(i, mu) = ({i!r}, {mu}) is not a boundary index of (g, k) = ({g}, {k})"
+        )
+    return BoundaryIndex(i, mu)
+
+
 # A scan visits each (g, k) once, so only the last few index sets are kept.
 _INDEX_CACHE_SIZE = 8
 

@@ -27,6 +27,7 @@ k >= m).  A scan builds each genus recipe once and extends it per k.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -309,13 +310,19 @@ def recipe_for_degree(recipe: DivisorRecipe | None, k: int) -> DivisorRecipe | N
         return None
     if base == k:
         return recipe
-    return DivisorRecipe(
-        name=recipe.name,
-        g=recipe.g,
-        divisor_class=recipe.divisor_class,
-        slope=recipe.slope,
-        hypotheses=recipe.hypotheses + _avoidance_hypotheses(base, k)[1:],
-    )
+    return _assuming(recipe, _avoidance_hypotheses(base, k)[1:])
+
+
+def _assuming(recipe: DivisorRecipe, extra: tuple[str, ...]) -> DivisorRecipe:
+    """`recipe` with `extra` appended to its hypotheses, without a second check.
+
+    The name, class and slope are those of `recipe`, which `__post_init__`
+    checked when it was built, and its hypotheses were non-empty; rebuilding
+    through `__post_init__` would recompute the slope of the unchanged class.
+    """
+    extended = copy.copy(recipe)
+    object.__setattr__(extended, "hypotheses", recipe.hypotheses + extra)
+    return extended
 
 
 def best_recipe(g: int, k: int, allow_conditional: bool = False) -> DivisorRecipe | None:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import __version__
 from .bigness import VERDICT_NO_DIVISOR, BignessCertificate, IndexMargin, ScanRow, ScanTable
 from .errors import InputError
-from .hurwitz import BoundaryIndex, HurwitzClass
+from .hurwitz import HurwitzClass, boundary_index
 from .lowslope import DivisorRecipe
 from .partitions import OracleReport, Partition, lcm_of
 from .pushpull import QuadraticClass
@@ -33,6 +33,9 @@ from .spaces import KIND_M0B, DivisorClass, Space
 
 
 def rational_str(value: Fraction) -> str:
+    # a Fraction or an int already prints canonically; a bool would print "True"
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
     return str(Fraction(value))
 
 
@@ -40,7 +43,12 @@ _RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p"; decimal and float forms are rejected everywhere."""
+    """Parse "p/q" or "p"; decimal and float forms are rejected everywhere.
+
+    Anything but a string, such as a JSON number, raises InputError.
+    """
+    if not isinstance(text, str):
+        raise InputError(f"a rational number must be the string p or p/q, got {text!r}")
     text = text.strip()
     if not _RATIONAL_PATTERN.fullmatch(text):
         raise InputError(f"not a rational number (expected p or p/q): {text!r}")
@@ -55,7 +63,7 @@ def _optional_rational_str(value: Fraction | None) -> str:
 
 
 def _parse_optional_rational(text: str) -> Fraction | None:
-    return parse_rational(text) if text else None
+    return None if text == "" else parse_rational(text)
 
 
 def rational_text(value: Fraction) -> str:
@@ -300,7 +308,7 @@ def certificate_to_obj(cert: BignessCertificate) -> dict:
 def certificate_from_obj(obj: dict) -> BignessCertificate:
     entries = tuple(
         IndexMargin(
-            index=BoundaryIndex(entry["i"], Partition(tuple(entry["mu"]))),
+            index=boundary_index(obj["g"], obj["k"], entry["i"], tuple(entry["mu"])),
             margin=parse_rational(entry["margin"]),
             sigma_bound=parse_rational(entry["sigma_bound"]),
             sharp=entry["sharp"],

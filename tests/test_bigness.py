@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+import hurwitzdiv.bigness as bigness
 from hurwitzdiv import (
     BoundaryIndex,
     HypothesisError,
     InputError,
+    InvariantError,
     Partition,
     ScanRow,
     best_recipe,
@@ -27,6 +29,14 @@ from hurwitzdiv import (
     user_divisor,
     verify_coarse,
     verify_stack,
+)
+from hurwitzdiv.bigness import (
+    MODE_COARSE,
+    MODE_STACK,
+    _coarse_rows,
+    _least_margin,
+    _margin_rows,
+    _verdict,
 )
 
 F = Fraction
@@ -237,11 +247,12 @@ def test_scan_empty_range():
 
 
 def test_scan_rows_match_cellwise_verification():
-    # the scan reuses one recipe per genus; every row must equal the row
-    # assembled from best_recipe and the two verifications of its own cell
-    table = scan(3, 10, 6, 20)
+    # the scan reuses one recipe per genus and reads each cell from its least
+    # margins; every row must equal the row assembled from best_recipe and the
+    # two full certificates of its own cell
+    table = scan(3, 10, 6, 60)
     assert [(row.g, row.k) for row in table.rows] == [
-        (g, k) for g in range(6, 21) for k in range(3, 11)
+        (g, k) for g in range(6, 61) for k in range(3, 11)
     ]
     for row in table.rows:
         recipe = best_recipe(row.g, row.k)
@@ -257,6 +268,48 @@ def test_scan_rows_match_cellwise_verification():
             expected = ScanRow(row.g, row.k, recipe.name, recipe.slope, stack.verdict,
                                coarse, stack.min_margin())
         assert row == expected
+
+
+def _endpoint_cells():
+    for g in range(6, 61):
+        for k in range(3, 11):
+            yield g, k
+    for g in (200, 1000):
+        for k in range(3, 11):
+            yield g, k
+
+
+def test_least_margin_is_the_least_certificate_margin():
+    # the endpoint rule against full enumeration: one index per partition
+    # gives the least margin of every index, and the verdict of the certificate
+    for g, k in _endpoint_cells():
+        recipe = best_recipe(g, k) or user_divisor(g, F(54, 7), k)
+        modes = [(verify_stack, MODE_STACK, _margin_rows(k, recipe.slope, coarse=False))]
+        if coarse_range_ok(g, k):
+            modes.append((verify_coarse, MODE_COARSE, _coarse_rows(k)))
+        for verify, mode, rows in modes:
+            cert = verify(g, k, recipe)
+            least = _least_margin(g, k, rows)
+            assert least == min(entry.margin for entry in cert.per_index), (g, k, mode)
+            assert _verdict(mode, least) == cert.verdict, (g, k, mode)
+
+
+def test_least_margin_needs_margins_nondecreasing_in_q():
+    # above slope 8 a margin decreases in q and its least value is not at i0
+    with pytest.raises(InvariantError):
+        _least_margin(10, 4, _margin_rows(4, F(9), coarse=False))
+
+
+def test_scan_builds_no_index_set_or_margin_listing(monkeypatch):
+    # only a NoDivisor cell builds a certificate, one with no indices
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan must not list boundary indices or their margins")
+
+    for name in ("_verify", "_margins", "boundary_index_set", "IndexMargin"):
+        monkeypatch.setattr(bigness, name, refuse)
+    table = scan(3, 10, 6, 20)
+    assert table.certified_stack() > 0 and table.certified_coarse() > 0
+    assert any(row.stack_verdict == "NoDivisor" for row in table.rows)
 
 
 def test_scan_range_limits():

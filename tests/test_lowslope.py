@@ -17,6 +17,7 @@ from hurwitzdiv import (
     multiply,
     odd_genus_divisor,
     odd_genus_slope,
+    scan,
     second_hilbert_divisor,
     slope,
     syzygy_divisor_g7,
@@ -24,6 +25,7 @@ from hurwitzdiv import (
     user_divisor,
     weierstrass_class,
 )
+from hurwitzdiv.lowslope import DivisorRecipe, genus_recipe, recipe_for_degree
 
 F = Fraction
 
@@ -158,6 +160,36 @@ def test_best_recipe_records_k_gonal_avoidance():
     rec = best_recipe(8, 5)
     assert avoided_gonality(rec) == 3
     assert any("5-gonal" in h for h in rec.hypotheses)
+
+
+def test_recipe_for_degree_equals_a_checked_recipe():
+    # the extended recipe skips the slope check of its unchanged class; it must
+    # equal the recipe that a full, checked construction gives
+    for g, k in ((8, 5), (15, 3), (15, 10), (7, 4), (10, 3)):
+        base = genus_recipe(g)
+        extended = recipe_for_degree(base, k)
+        checked = DivisorRecipe(
+            extended.name, extended.g, extended.divisor_class, extended.slope,
+            extended.hypotheses,
+        )
+        assert extended == checked
+        assert extended.hypotheses[: len(base.hypotheses)] == base.hypotheses
+        assert base == genus_recipe(g)  # the base recipe is left as it was
+
+
+def test_scan_checks_each_distinct_class_once(monkeypatch):
+    checks = []
+    post_init = DivisorRecipe.__post_init__
+
+    def counted(self):
+        checks.append((self.name, self.g))
+        post_init(self)
+
+    monkeypatch.setattr(DivisorRecipe, "__post_init__", counted)
+    table = scan(3, 10, 6, 60)
+    served = {(row.recipe, row.g) for row in table.rows if row.recipe != "none"}
+    assert len(served) == 51
+    assert sorted(checks) == sorted(served)
 
 
 def test_best_recipe_conditional_opt_in():

@@ -59,6 +59,9 @@ def test_rational_strings_are_canonical():
     assert rational_str(F(-1)) == "-1"
     assert rational_str(F(4, 8)) == "1/2"
     assert rational_str(F(3, -9)) == "-1/3"
+    assert rational_str(7) == rational_str(F(7)) == "7"
+    assert rational_str(True) == "1"
+    assert rational_str("6/4") == "3/2"
     assert parse_rational("62621/7830") == F(62621, 7830)
     assert parse_rational("-2") == F(-2)
     with pytest.raises(InputError):
@@ -243,6 +246,71 @@ def test_decoders_reject_missing_keys(decode):
                 del obj[key][0][inner]
                 with pytest.raises(InputError):
                     decode(obj)
+
+
+_RATIONAL_FIELDS = [
+    (divisor_class_from_obj, ("coefficients", 0, "value")),
+    (quadratic_class_from_obj, ("coefficients", 0, "value")),
+    (hurwitz_class_from_obj, ("coefficients", 0, "value")),
+    (recipe_from_obj, ("slope",)),
+    (recipe_from_obj, ("class", "coefficients", 0, "value")),
+    (certificate_from_obj, ("slope",)),
+    (certificate_from_obj, ("alpha",)),
+    (certificate_from_obj, ("indices", 0, "margin")),
+    (certificate_from_obj, ("indices", 0, "sigma_bound")),
+    (scan_table_from_obj, ("rows", 0, "slope")),
+    (scan_table_from_obj, ("rows", 0, "min_margin")),
+]
+
+
+@pytest.mark.parametrize("number", [31, 0.5, 0, None], ids=repr)
+@pytest.mark.parametrize(
+    "decode, path", _RATIONAL_FIELDS,
+    ids=[f"{decode.__name__}:{'.'.join(map(str, path))}" for decode, path in _RATIONAL_FIELDS],
+)
+def test_decoders_reject_a_json_number_for_a_rational(decode, path, number):
+    # rationals travel as "p/q" strings; a JSON number or null is an input error
+    obj = _ENCODED[decode]()
+    *parents, last = path
+    target = obj
+    for step in parents:
+        target = target[step]
+    assert isinstance(target[last], str) and target[last]
+    target[last] = number
+    with pytest.raises(InputError, match="string p or p/q"):
+        decode(obj)
+
+
+def _with_index_row(obj: dict, **changes) -> dict:
+    obj = json.loads(json.dumps(obj))
+    obj["indices"][0].update(changes)
+    return obj
+
+
+def test_certificate_decoder_rejects_index_rows_outside_the_index_set():
+    # (g, k) = (10, 4): b = 24, so 2 <= i <= 12, and i >= k - l(mu) with its parity
+    stack = certificate_to_obj(verify_stack(10, 4, best_recipe(10, 4)))
+    coarse = certificate_to_obj(verify_coarse(8, 3, best_recipe(8, 3)))
+    no_divisor = certificate_to_obj(no_divisor_certificate(13, 3, MODE_STACK))
+    for obj in (stack, coarse, no_divisor):
+        assert certificate_to_obj(certificate_from_obj(obj)) == obj
+    # the reproducer: one row whose mu is not a partition of k
+    lone = _with_index_row(stack, mu=[9, 9])
+    lone["indices"] = lone["indices"][:1]
+    rows = [
+        dict(mu=[9, 9]),  # weight 18, not k = 4
+        dict(mu=[3]),  # weight 3
+        dict(mu=[1, 3]),  # not weakly decreasing
+        dict(i=1, mu=[1, 1, 1, 1]),  # i < 2
+        dict(i=13, mu=[1, 1, 1, 1]),  # i > b/2
+        dict(i=3, mu=[3, 1]),  # k - l(mu) = 2: wrong parity
+        dict(i=2, mu=[4]),  # k - l(mu) = 3 > i
+        dict(i="2", mu=[3, 1]),
+        dict(i=2.0, mu=[3, 1]),
+    ]
+    for obj in [lone] + [_with_index_row(stack, **row) for row in rows]:
+        with pytest.raises(InputError, match="not a boundary index|parts must be"):
+            certificate_from_obj(obj)
 
 
 def test_certificate_csv_header():
