@@ -51,7 +51,6 @@ from .hurwitz import (
 )
 from .lowslope import (
     DivisorRecipe,
-    avoided_gonality,
     best_recipe,
     odd_genus_divisor,
     odd_genus_slope,
@@ -142,7 +141,6 @@ __all__ = [
     "third_hilbert_divisor",
     "user_divisor",
     "best_recipe",
-    "avoided_gonality",
     # hurwitz
     "BoundaryIndex",
     "HurwitzClass",

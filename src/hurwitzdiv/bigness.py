@@ -36,7 +36,7 @@ from functools import lru_cache
 
 from .errors import HypothesisError, InputError, InvariantError
 from .hurwitz import BoundaryIndex, _affine, _check_gk, _class_terms, boundary_index_set
-from .lowslope import DivisorRecipe, avoided_gonality, genus_recipe, recipe_for_degree
+from .lowslope import DivisorRecipe, _avoidance_hypotheses, genus_recipe, recipe_for_degree
 from .partitions import partition_table
 
 MODE_STACK = "Stack"
@@ -228,11 +228,10 @@ def _check_recipe(g: int, k: int, recipe: DivisorRecipe) -> None:
         raise InputError(f"the recipe is for genus {recipe.g}, not {g}")
     if recipe.slope >= 8:
         raise HypothesisError(f"the divisor slope must be below 8, got {recipe.slope}")
-    base = avoided_gonality(recipe)
-    if base is None or base > k:
+    if recipe_for_degree(recipe, k) is None:
         raise HypothesisError(
-            f"the recipe does not assume avoidance of the {k}-gonal locus "
-            f"(smallest avoided gonality: {base})"
+            f"the {recipe.name} recipe does not serve k = {k} "
+            f"(avoided gonality: {recipe.avoided_gonality})"
         )
 
 
@@ -300,7 +299,9 @@ def _verify(g: int, k: int, recipe: DivisorRecipe, mode: str) -> BignessCertific
         slope_used=s,
         per_index=entries,
         alpha=alpha,
-        hypotheses=recipe.hypotheses + notes,
+        hypotheses=recipe.hypotheses
+        + _avoidance_hypotheses(recipe.avoided_gonality, k)[1:]
+        + notes,
         verdict=_verdict(mode, alpha),
     )
 

@@ -18,17 +18,17 @@ are assumed, never verified here):
 * genus 7: the hyperplane pullback through the first-syzygy-point model, of
   slope 54/7, avoiding the 4-gonal locus.
 
-`best_recipe` picks the divisor serving a given (g, k) cell in two steps:
-`genus_recipe` builds the divisor of the genus, and `recipe_for_degree`
-records the k-gonal avoidance hypothesis via the containment of gonality
-loci (a divisor missing the m-gonal locus misses every k-gonal locus with
-k >= m).  A scan builds each genus recipe once and extends it per k.
+Each recipe records the gonality m whose locus it is assumed to miss as the
+integer `avoided_gonality`; its hypothesis line is rendered from m, never
+read back from prose.  `best_recipe` picks the divisor serving a given
+(g, k) cell in two steps: `genus_recipe` builds the divisor of the genus,
+and `recipe_for_degree` decides whether it serves k.  A divisor missing the
+m-gonal locus misses every k-gonal locus with k >= m, which contains it.  A
+scan builds each genus recipe once and reuses it for every k.
 """
 
 from __future__ import annotations
 
-import copy
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,16 +60,15 @@ RECIPE_NAMES = (
     RECIPE_USER,
 )
 
-_GONALITY_PATTERN = re.compile(r"does not contain the (\d+)-gonal locus")
-
 
 @dataclass(frozen=True)
 class DivisorRecipe:
     """An effective divisor class on the genus-g space plus its provenance.
 
-    `hypotheses` is never empty: every recipe depends on at least one
-    geometric input (effectivity, gonality-locus avoidance) that this package
-    takes as given.
+    `hypotheses` lists the geometric inputs (effectivity, gonality-locus
+    avoidance) that this package takes as given.  `avoided_gonality` is the
+    m whose m-gonal locus the divisor is assumed to miss, and `hypotheses`
+    must contain the avoidance line rendered from it.
     """
 
     name: str
@@ -77,21 +76,21 @@ class DivisorRecipe:
     divisor_class: DivisorClass
     slope: Fraction
     hypotheses: tuple[str, ...]
+    avoided_gonality: int
 
     def __post_init__(self) -> None:
         if self.name not in RECIPE_NAMES:
             raise InputError(f"unknown recipe name {self.name!r}")
-        if not self.hypotheses:
-            raise InputError("a recipe must record its geometric hypotheses")
+        if self.divisor_class.space != space_mg(self.g):
+            raise InputError(f"the class lives on {self.divisor_class.space}, not genus {self.g!r}")
+        m = self.avoided_gonality
+        if not isinstance(m, int) or isinstance(m, bool) or m < 2:
+            raise InputError(f"the avoided gonality must be an integer >= 2, got {m!r}")
+        if _avoidance_hypotheses(m)[0] not in self.hypotheses:
+            raise InputError(f"the hypotheses do not state avoidance of the {m}-gonal locus")
         recomputed = slope(self.divisor_class)
         if recomputed != self.slope:
             raise InputError(f"stored slope {self.slope} != recomputed {recomputed}")
-
-
-def avoided_gonality(recipe: DivisorRecipe) -> int | None:
-    """Smallest m for which the recipe assumes m-gonal-locus avoidance."""
-    found = [int(m) for h in recipe.hypotheses for m in _GONALITY_PATTERN.findall(h)]
-    return min(found) if found else None
 
 
 def _avoidance_hypotheses(base_gonality: int, k: int | None = None) -> tuple[str, ...]:
@@ -131,6 +130,7 @@ def second_hilbert_divisor(g: int) -> DivisorRecipe:
             "(semistability assumed)",
         )
         + _avoidance_hypotheses(3),
+        avoided_gonality=3,
     )
 
 
@@ -209,6 +209,7 @@ def odd_genus_divisor(g: int) -> DivisorRecipe:
             "the Weierstrass divisor (semistability in genus g+1 assumed)",
         )
         + _avoidance_hypotheses(3),
+        avoided_gonality=3,
     )
 
 
@@ -225,6 +226,7 @@ def syzygy_divisor_g7() -> DivisorRecipe:
             "(semistability assumed)",
         )
         + _avoidance_hypotheses(4),
+        avoided_gonality=4,
     )
 
 
@@ -247,6 +249,7 @@ def third_hilbert_divisor(g: int) -> DivisorRecipe:
             "(UNPROVEN semistability assumed)",
         )
         + _avoidance_hypotheses(3),
+        avoided_gonality=3,
     )
 
 
@@ -266,15 +269,14 @@ def user_divisor(g: int, s: Fraction, k: int) -> DivisorRecipe:
         g=g,
         divisor_class=_slope_class(space_mg(g), s),
         slope=s,
-        hypotheses=(
-            "user-supplied effective divisor of the given slope (existence assumed)",
-            f"does not contain the {k}-gonal locus (assumed)",
-        ),
+        hypotheses=("user-supplied effective divisor of the given slope (existence assumed)",)
+        + _avoidance_hypotheses(k),
+        avoided_gonality=k,
     )
 
 
 def genus_recipe(g: int, allow_conditional: bool = False) -> DivisorRecipe | None:
-    """The built-in divisor of genus g, before any k-specific hypothesis.
+    """The built-in divisor of genus g, whichever k it serves.
 
     Even g >= 8 use the second-Hilbert divisor, odd g >= 15 the pushforward
     divisor and g = 7 the syzygy divisor; with `allow_conditional`, the
@@ -295,34 +297,19 @@ def genus_recipe(g: int, allow_conditional: bool = False) -> DivisorRecipe | Non
 
 
 def recipe_for_degree(recipe: DivisorRecipe | None, k: int) -> DivisorRecipe | None:
-    """The genus recipe as it serves the (g, k) cell, or None if it does not.
+    """`recipe` if it serves the (g, k) cell, else None.
 
-    A recipe serves k when the gonality it avoids is at most k; the syzygy
-    divisor is used only at k = 4.  For a larger k the k-gonal avoidance
-    line is appended to the hypotheses.
+    This is the one rule for which k a recipe serves: those at least its
+    avoided gonality, since the k-gonal locus then contains the avoided one.
+    The syzygy divisor is used only at k = 4.
     """
     if not isinstance(k, int) or k < 3:
         raise InputError(f"k must be an integer >= 3, got {k!r}")
-    if recipe is None or (recipe.name == RECIPE_SYZYGY_G7 and k != 4):
+    if recipe is None or recipe.avoided_gonality > k:
         return None
-    base = avoided_gonality(recipe)
-    if base is None or base > k:
+    if recipe.name == RECIPE_SYZYGY_G7 and k != 4:
         return None
-    if base == k:
-        return recipe
-    return _assuming(recipe, _avoidance_hypotheses(base, k)[1:])
-
-
-def _assuming(recipe: DivisorRecipe, extra: tuple[str, ...]) -> DivisorRecipe:
-    """`recipe` with `extra` appended to its hypotheses, without a second check.
-
-    The name, class and slope are those of `recipe`, which `__post_init__`
-    checked when it was built, and its hypotheses were non-empty; rebuilding
-    through `__post_init__` would recompute the slope of the unchanged class.
-    """
-    extended = copy.copy(recipe)
-    object.__setattr__(extended, "hypotheses", recipe.hypotheses + extra)
-    return extended
+    return recipe
 
 
 def best_recipe(g: int, k: int, allow_conditional: bool = False) -> DivisorRecipe | None:
@@ -335,8 +322,4 @@ def best_recipe(g: int, k: int, allow_conditional: bool = False) -> DivisorRecip
     `allow_conditional`, the third-Hilbert divisor fills remaining cells with
     g >= 8 under its unproven hypothesis.
     """
-    if not isinstance(g, int) or g < 4:
-        raise InputError(f"g must be an integer >= 4, got {g!r}")
-    if not isinstance(k, int) or k < 3:
-        raise InputError(f"k must be an integer >= 3, got {k!r}")
     return recipe_for_degree(genus_recipe(g, allow_conditional), k)

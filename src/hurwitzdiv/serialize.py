@@ -102,18 +102,16 @@ def envelope_json(argv: list[str], value, payload: dict) -> str:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse a comma-separated part list such as "2,1,1"."""
+    """Parse a comma-separated part list such as "2,1,1"; an empty field is an error."""
     try:
-        parts = [int(piece) for piece in text.split(",") if piece.strip() != ""]
+        parts = [int(piece) for piece in text.split(",")]
     except ValueError as exc:
         raise InputError(f"not a partition: {text!r}") from exc
-    if not parts:
-        raise InputError(f"not a partition: {text!r}")
     return Partition.of(parts)
 
 
 def _decoder(decode):
-    """Report a key missing from the decoded object as InputError."""
+    """Report a missing key or a field of the wrong JSON type as InputError."""
 
     @functools.wraps(decode)
     def checked(obj: dict):
@@ -121,8 +119,26 @@ def _decoder(decode):
             return decode(obj)
         except KeyError as exc:
             raise InputError(f"{decode.__name__}: missing key {exc}") from None
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise InputError(f"{decode.__name__}: a field has the wrong type ({exc})") from None
 
     return checked
+
+
+def _field(obj: dict, key: str, kind: type):
+    """`obj[key]` if it has the JSON type `kind`; a bool is no int.  Under `_decoder`."""
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TypeError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _strings(obj: dict, key: str) -> tuple[str, ...]:
+    """`obj[key]` as a tuple, if it is a JSON list of strings."""
+    values = _field(obj, key, list)
+    if not all(isinstance(value, str) for value in values):
+        raise TypeError(f"{key!r} must be a list of strings, got {values!r}")
+    return tuple(values)
 
 
 # -- spaces and divisor classes ---------------------------------------------
@@ -154,7 +170,7 @@ def divisor_class_to_obj(divisor: DivisorClass) -> dict:
 def divisor_class_from_obj(obj: dict) -> DivisorClass:
     space = space_from_obj(obj["space"])
     coeffs = {
-        entry["basis"]: parse_rational(entry["value"]) for entry in obj["coefficients"]
+        entry["basis"]: parse_rational(entry["value"]) for entry in _field(obj, "coefficients", list)
     }
     return DivisorClass.make(space, coeffs)
 
@@ -173,7 +189,7 @@ def quadratic_class_to_obj(quadratic: QuadraticClass) -> dict:
 def quadratic_class_from_obj(obj: dict) -> QuadraticClass:
     space = space_from_obj(obj["space"])
     coeffs = {
-        tuple(entry["basis"]): parse_rational(entry["value"]) for entry in obj["coefficients"]
+        tuple(entry["basis"]): parse_rational(entry["value"]) for entry in _field(obj, "coefficients", list)
     }
     return QuadraticClass.make(space, coeffs)
 
@@ -212,7 +228,7 @@ def hurwitz_class_to_obj(cls: HurwitzClass) -> dict:
 def hurwitz_class_from_obj(obj: dict) -> HurwitzClass:
     coeffs: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     marks: set[tuple[int, tuple[int, ...]]] = set()
-    for entry in obj["coefficients"]:
+    for entry in _field(obj, "coefficients", list):
         key = (entry["i"], tuple(entry["mu"]))
         coeffs[key] = parse_rational(entry["value"])
         if entry.get("prime"):
@@ -246,6 +262,7 @@ def recipe_to_obj(recipe: DivisorRecipe) -> dict:
         "slope": rational_str(recipe.slope),
         "class": divisor_class_to_obj(recipe.divisor_class),
         "hypotheses": list(recipe.hypotheses),
+        "avoided_gonality": recipe.avoided_gonality,
     }
 
 
@@ -256,7 +273,8 @@ def recipe_from_obj(obj: dict) -> DivisorRecipe:
         g=obj["g"],
         divisor_class=divisor_class_from_obj(obj["class"]),
         slope=parse_rational(obj["slope"]),
-        hypotheses=tuple(obj["hypotheses"]),
+        hypotheses=_strings(obj, "hypotheses"),
+        avoided_gonality=obj["avoided_gonality"],
     )
 
 
@@ -304,6 +322,13 @@ def certificate_to_obj(cert: BignessCertificate) -> dict:
     }
 
 
+def _sharp(entry: dict) -> int:
+    sharp = _field(entry, "sharp", int)
+    if sharp not in (0, 1):
+        raise ValueError(f"'sharp' must be 0 or 1, got {sharp!r}")
+    return sharp
+
+
 @_decoder
 def certificate_from_obj(obj: dict) -> BignessCertificate:
     entries = tuple(
@@ -311,10 +336,10 @@ def certificate_from_obj(obj: dict) -> BignessCertificate:
             index=boundary_index(obj["g"], obj["k"], entry["i"], tuple(entry["mu"])),
             margin=parse_rational(entry["margin"]),
             sigma_bound=parse_rational(entry["sigma_bound"]),
-            sharp=entry["sharp"],
-            note=entry["note"],
+            sharp=_sharp(entry),
+            note=_field(entry, "note", str),
         )
-        for entry in obj["indices"]
+        for entry in _field(obj, "indices", list)
     )
     cert = BignessCertificate(
         g=obj["g"],
@@ -323,7 +348,7 @@ def certificate_from_obj(obj: dict) -> BignessCertificate:
         slope_used=_parse_optional_rational(obj["slope"]),
         per_index=entries,
         alpha=_parse_optional_rational(obj["alpha"]),
-        hypotheses=tuple(obj["hypotheses"]),
+        hypotheses=_strings(obj, "hypotheses"),
         verdict=obj["verdict"],
     )
     if not cert.consistent():
@@ -389,15 +414,15 @@ def scan_table_to_obj(table: ScanTable) -> dict:
 def scan_table_from_obj(obj: dict) -> ScanTable:
     rows = tuple(
         ScanRow(
-            g=entry["g"],
-            k=entry["k"],
-            recipe=entry["recipe"],
+            g=_field(entry, "g", int),
+            k=_field(entry, "k", int),
+            recipe=_field(entry, "recipe", str),
             slope=_parse_optional_rational(entry["slope"]),
-            stack_verdict=entry["stack_verdict"],
-            coarse_verdict=entry["coarse_verdict"],
+            stack_verdict=_field(entry, "stack_verdict", str),
+            coarse_verdict=_field(entry, "coarse_verdict", str),
             min_margin=_parse_optional_rational(entry["min_margin"]),
         )
-        for entry in obj["rows"]
+        for entry in _field(obj, "rows", list)
     )
     return ScanTable(rows)
 

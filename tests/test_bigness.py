@@ -150,8 +150,17 @@ def test_verify_stack_hypothesis_errors():
         verify_stack(6, 3, second_hilbert_divisor(6))  # slope exactly 8
     with pytest.raises(HypothesisError):
         verify_stack(7, 3, syzygy_divisor_g7())  # 4-gonal avoidance does not cover k=3
+    with pytest.raises(HypothesisError):
+        verify_stack(7, 5, syzygy_divisor_g7())  # best_recipe(7, 5) is None as well
     with pytest.raises(InputError):
         verify_stack(9, 3, second_hilbert_divisor(8))  # genus mismatch
+
+
+def test_a_cell_gets_the_same_hypotheses_from_either_recipe_object():
+    for verify in (verify_stack, verify_coarse):
+        cert = verify(8, 5, second_hilbert_divisor(8))
+        assert cert.hypotheses == verify(8, 5, best_recipe(8, 5)).hypotheses
+        assert "does not contain the 5-gonal locus" in " ".join(cert.hypotheses)
 
 
 def test_verify_stack_user_supplied():

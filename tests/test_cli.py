@@ -189,6 +189,13 @@ def test_oracle_weight_mismatch(capsys):
     assert "weight" in err
 
 
+def test_oracle_rejects_an_empty_part(capsys):
+    code, out, err = run_cli(capsys, ["oracle", "--k", "4", "--mu", "3,,1", "--i", "2"])
+    assert code == 2
+    assert out == ""
+    assert "not a partition" in err
+
+
 def test_max_k_environment_cap(capsys, monkeypatch):
     monkeypatch.setenv("HURWITZ_MAX_K", "3")
     code, _, err = run_cli(capsys, ["oracle", "--k", "5", "--mu", "5", "--i", "2"])

@@ -10,7 +10,6 @@ import hurwitzdiv.lowslope as lowslope
 from hurwitzdiv import (
     InputError,
     InvariantError,
-    avoided_gonality,
     best_recipe,
     elliptic_tail_pullback,
     forgetful_pushforward,
@@ -23,6 +22,7 @@ from hurwitzdiv import (
     syzygy_divisor_g7,
     third_hilbert_divisor,
     user_divisor,
+    verify_stack,
     weierstrass_class,
 )
 from hurwitzdiv.lowslope import DivisorRecipe, genus_recipe, recipe_for_degree
@@ -124,7 +124,7 @@ def test_syzygy_divisor():
     assert rec.slope == 7 + F(5, 7)
     assert rec.slope < 8
     assert rec.g == 7
-    assert avoided_gonality(rec) == 4
+    assert rec.avoided_gonality == 4
 
 
 def test_third_hilbert_conditional():
@@ -136,8 +136,8 @@ def test_third_hilbert_conditional():
 def test_recipe_hypotheses_nonempty_and_parse():
     for rec in (second_hilbert_divisor(8), odd_genus_divisor(15), syzygy_divisor_g7()):
         assert rec.hypotheses
-    assert avoided_gonality(second_hilbert_divisor(8)) == 3
-    assert avoided_gonality(user_divisor(6, F(54, 7), 4)) == 4
+    assert second_hilbert_divisor(8).avoided_gonality == 3
+    assert user_divisor(6, F(54, 7), 4).avoided_gonality == 4
 
 
 def test_best_recipe_selection():
@@ -158,23 +158,24 @@ def test_best_recipe_selection():
 
 def test_best_recipe_records_k_gonal_avoidance():
     rec = best_recipe(8, 5)
-    assert avoided_gonality(rec) == 3
-    assert any("5-gonal" in h for h in rec.hypotheses)
+    assert rec.avoided_gonality == 3
+    assert any("5-gonal" in h for h in verify_stack(8, 5, rec).hypotheses)
 
 
-def test_recipe_for_degree_equals_a_checked_recipe():
-    # the extended recipe skips the slope check of its unchanged class; it must
-    # equal the recipe that a full, checked construction gives
+def test_recipe_for_degree_returns_the_genus_recipe():
     for g, k in ((8, 5), (15, 3), (15, 10), (7, 4), (10, 3)):
         base = genus_recipe(g)
-        extended = recipe_for_degree(base, k)
-        checked = DivisorRecipe(
-            extended.name, extended.g, extended.divisor_class, extended.slope,
-            extended.hypotheses,
-        )
-        assert extended == checked
-        assert extended.hypotheses[: len(base.hypotheses)] == base.hypotheses
-        assert base == genus_recipe(g)  # the base recipe is left as it was
+        assert recipe_for_degree(base, k) is base
+    assert recipe_for_degree(syzygy_divisor_g7(), 5) is None
+    assert recipe_for_degree(syzygy_divisor_g7(), 3) is None
+    assert recipe_for_degree(None, 3) is None
+
+
+def test_recipe_rejects_an_avoided_gonality_its_prose_does_not_state():
+    rec = second_hilbert_divisor(8)
+    for m in (4, "3", True, 1, None):
+        with pytest.raises(InputError):
+            DivisorRecipe(rec.name, rec.g, rec.divisor_class, rec.slope, rec.hypotheses, m)
 
 
 def test_scan_checks_each_distinct_class_once(monkeypatch):

@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitzdiv import (
     DivisorClass,
@@ -77,6 +79,9 @@ def test_parse_partition():
         parse_partition("")
     with pytest.raises(InputError):
         parse_partition("2,x")
+    for text in ("3,,1", "3,1,", ",3", " "):
+        with pytest.raises(InputError):
+            parse_partition(text)
 
 
 def test_divisor_class_round_trip():
@@ -131,6 +136,15 @@ def test_recipe_round_trip():
     assert obj["name"] == "Hilbert2Even"
     assert obj["slope"] == "31/4"
     assert recipe_from_obj(obj) == recipe
+
+
+def test_recipe_decoder_reads_the_avoided_gonality():
+    obj = recipe_to_obj(best_recipe(8, 5))
+    assert obj["avoided_gonality"] == 3
+    # a string, a bool, a gonality below 2, or one the prose does not state
+    for value in ("3", True, 1, 4, None):
+        with pytest.raises(InputError):
+            recipe_from_obj({**obj, "avoided_gonality": value})
 
 
 def test_certificate_round_trip_stack_and_coarse():
@@ -311,6 +325,65 @@ def test_certificate_decoder_rejects_index_rows_outside_the_index_set():
     for obj in [lone] + [_with_index_row(stack, **row) for row in rows]:
         with pytest.raises(InputError, match="not a boundary index|parts must be"):
             certificate_from_obj(obj)
+
+
+def test_decoders_reject_wrong_typed_fields():
+    stack = certificate_to_obj(verify_stack(10, 4, best_recipe(10, 4)))
+    recipe = recipe_to_obj(best_recipe(10, 4))
+    cases = [
+        (certificate_from_obj, _with_index_row(stack, mu=5)),
+        (certificate_from_obj, _with_index_row(stack, sharp="x")),
+        (certificate_from_obj, _with_index_row(stack, sharp=2)),
+        (certificate_from_obj, _with_index_row(stack, sharp=True)),
+        (certificate_from_obj, _with_index_row(stack, note=5)),
+        (certificate_from_obj, {**stack, "hypotheses": 5}),
+        (certificate_from_obj, {**stack, "hypotheses": ["ok", 5]}),
+        (certificate_from_obj, {**stack, "indices": ""}),
+        (recipe_from_obj, {**recipe, "class": 5}),
+        (recipe_from_obj, {**recipe, "g": "10"}),
+        (recipe_from_obj, {**recipe, "hypotheses": recipe["hypotheses"] + [5]}),
+    ]
+    for decode, obj in cases:
+        with pytest.raises(InputError):
+            decode(obj)
+
+
+def _paths(obj, prefix=()):
+    """The path of every field of a JSON value, following the first entry of each list."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj[:1])
+    else:
+        items = ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+# Integers stay small: a decoder builds the index set or basis of the (g, k)
+# it is given, and the decoders have no g or k cap yet.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 16) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("decode", list(_ENCODED), ids=lambda decode: decode.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decoders_accept_or_reject_any_json_in_one_field(decode, data):
+    obj = _ENCODED[decode]()
+    *parents, last = data.draw(st.sampled_from(list(_paths(obj))))
+    target = obj
+    for step in parents:
+        target = target[step]
+    target[last] = data.draw(_JSON)
+    try:
+        decode(obj)
+    except InputError:
+        pass
 
 
 def test_certificate_csv_header():
