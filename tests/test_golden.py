@@ -141,7 +141,7 @@ GOLDEN = {
     "scan --k 3 10 --g 6 60 --format text":
         (0, "b1984c76a205d0bac36057e04ac29bd2fa5dff16b0e10a5fc0019efedf07f3e8"),
     "divisor odd --g 15 --format json":
-        (0, "b68358409c3ac56b643c374567e340f30937e457bfa6b4dc4b1156fb9e9e6e9f"),
+        (0, "c2c032a7817b77fcf586cda054d9120b3fae88f53827653709b58c1d789187e2"),
     "divisor odd --g 15 --format csv":
         (0, "78d667e2b862f7bb172cf98e3a93c8d857aa19765e334deed461b95885447781"),
     "divisor odd --g 15 --format text":
@@ -165,13 +165,13 @@ GOLDEN = {
     "oracle --k 6 --mu 1,1,1,1,1,1 --i 2 --format text":
         (0, "a0ab5d489e5aa805f7b8dc77e4685c7546bb3cb2beed3f23bcbc04d8c115b72d"),
     "divisor even --g 8 --format json":
-        (0, "b51ef376e4bb152b0dc4ec76e6bf426228204a90f49ed4cfdf2e2e38ed275e01"),
+        (0, "4a06b49c84fcbc01f678230308ce434eb01807871a69266633d55b3eae2e453d"),
     "divisor even --g 8 --format csv":
         (0, "a5244dd43588cdcbd829f262ec7fd644f706c7844810a65208e79f89b4813f8b"),
     "divisor even --g 8 --format text":
         (0, "d00ec37de1a4e1fa30e11a4f9cf3046ef24250ae2a35400bf70eed8dd6b1b7f8"),
     "divisor syzygy-g7 --format json":
-        (0, "3fb42df6b98a4231b053e75a7e15a310958a3b78cc9df606d1b6336cc8aeb46c"),
+        (0, "654782b7e9e1537cd35288df0d32a3b915ad82a7e176b7c747991ab84e5b6b93"),
     "divisor syzygy-g7 --format csv":
         (0, "6226e348650639a30ab3786ea97212e45f1b5f0e25d4fa28b41354ceb9970aa2"),
     "divisor syzygy-g7 --format text":
