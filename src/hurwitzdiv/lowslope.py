@@ -18,13 +18,11 @@ are assumed, never verified here):
 * genus 7: the hyperplane pullback through the first-syzygy-point model, of
   slope 54/7, avoiding the 4-gonal locus.
 
-Each recipe records the gonality m whose locus it is assumed to miss as the
+Each recipe records the m whose m-gonal locus it is assumed to miss as the
 integer `avoided_gonality`; its hypothesis line is rendered from m, never
-read back from prose.  `best_recipe` picks the divisor serving a given
-(g, k) cell in two steps: `genus_recipe` builds the divisor of the genus,
-and `recipe_for_degree` decides whether it serves k.  A divisor missing the
-m-gonal locus misses every k-gonal locus with k >= m, which contains it.  A
-scan builds each genus recipe once and reuses it for every k.
+parsed.  `best_recipe` is `genus_recipe`, the divisor of the genus (built
+once per genus by a scan), followed by `recipe_for_degree`, the one rule for
+which k that divisor serves.
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ class DivisorRecipe:
         if self.name not in RECIPE_NAMES:
             raise InputError(f"unknown recipe name {self.name!r}")
         if self.divisor_class.space != space_mg(self.g):
-            raise InputError(f"the class lives on {self.divisor_class.space}, not genus {self.g!r}")
+            raise InputError(f"the class is on {self.divisor_class.space}, not genus {self.g!r}")
         m = self.avoided_gonality
         if not isinstance(m, int) or isinstance(m, bool) or m < 2:
             raise InputError(f"the avoided gonality must be an integer >= 2, got {m!r}")
@@ -313,13 +311,10 @@ def recipe_for_degree(recipe: DivisorRecipe | None, k: int) -> DivisorRecipe | N
 
 
 def best_recipe(g: int, k: int, allow_conditional: bool = False) -> DivisorRecipe | None:
-    """Pick the built-in divisor serving the (g, k) cell, if any.
+    """The built-in divisor serving the (g, k) cell, if any.
 
-    `genus_recipe` followed by `recipe_for_degree`: even g >= 8 use the
-    second-Hilbert divisor, odd g >= 15 the pushforward divisor, and
-    (g, k) = (7, 4) the syzygy divisor; every other cell has no
-    unconditional divisor of slope below 8 here and returns None.  With
-    `allow_conditional`, the third-Hilbert divisor fills remaining cells with
-    g >= 8 under its unproven hypothesis.
+    `genus_recipe` followed by `recipe_for_degree`; `allow_conditional` lets
+    the third-Hilbert divisor fill cells with g >= 8 under its unproven
+    hypothesis.
     """
     return recipe_for_degree(genus_recipe(g, allow_conditional), k)

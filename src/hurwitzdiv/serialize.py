@@ -126,19 +126,19 @@ def _decoder(decode):
 
 
 def _field(obj: dict, key: str, kind: type):
-    """`obj[key]` if it has the JSON type `kind`; a bool is no int.  Under `_decoder`."""
+    """`obj[key]` if its JSON type is exactly `kind`, so a bool is no int."""
     value = obj[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if type(value) is not kind:
         raise TypeError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
     return value
 
 
 def _strings(obj: dict, key: str) -> tuple[str, ...]:
     """`obj[key]` as a tuple, if it is a JSON list of strings."""
-    values = _field(obj, key, list)
-    if not all(isinstance(value, str) for value in values):
-        raise TypeError(f"{key!r} must be a list of strings, got {values!r}")
-    return tuple(values)
+    values = tuple(_field(obj, key, list))
+    if any(type(value) is not str for value in values):
+        raise TypeError(f"{key!r} must be a list of strings, got {list(values)!r}")
+    return values
 
 
 # -- spaces and divisor classes ---------------------------------------------
@@ -170,7 +170,8 @@ def divisor_class_to_obj(divisor: DivisorClass) -> dict:
 def divisor_class_from_obj(obj: dict) -> DivisorClass:
     space = space_from_obj(obj["space"])
     coeffs = {
-        entry["basis"]: parse_rational(entry["value"]) for entry in _field(obj, "coefficients", list)
+        entry["basis"]: parse_rational(entry["value"])
+        for entry in _field(obj, "coefficients", list)
     }
     return DivisorClass.make(space, coeffs)
 
@@ -189,7 +190,8 @@ def quadratic_class_to_obj(quadratic: QuadraticClass) -> dict:
 def quadratic_class_from_obj(obj: dict) -> QuadraticClass:
     space = space_from_obj(obj["space"])
     coeffs = {
-        tuple(entry["basis"]): parse_rational(entry["value"]) for entry in _field(obj, "coefficients", list)
+        tuple(entry["basis"]): parse_rational(entry["value"])
+        for entry in _field(obj, "coefficients", list)
     }
     return QuadraticClass.make(space, coeffs)
 
@@ -322,13 +324,6 @@ def certificate_to_obj(cert: BignessCertificate) -> dict:
     }
 
 
-def _sharp(entry: dict) -> int:
-    sharp = _field(entry, "sharp", int)
-    if sharp not in (0, 1):
-        raise ValueError(f"'sharp' must be 0 or 1, got {sharp!r}")
-    return sharp
-
-
 @_decoder
 def certificate_from_obj(obj: dict) -> BignessCertificate:
     entries = tuple(
@@ -336,7 +331,7 @@ def certificate_from_obj(obj: dict) -> BignessCertificate:
             index=boundary_index(obj["g"], obj["k"], entry["i"], tuple(entry["mu"])),
             margin=parse_rational(entry["margin"]),
             sigma_bound=parse_rational(entry["sigma_bound"]),
-            sharp=_sharp(entry),
+            sharp=_field(entry, "sharp", int),
             note=_field(entry, "note", str),
         )
         for entry in _field(obj, "indices", list)
@@ -351,6 +346,8 @@ def certificate_from_obj(obj: dict) -> BignessCertificate:
         hypotheses=_strings(obj, "hypotheses"),
         verdict=obj["verdict"],
     )
+    if any(entry.sharp not in (0, 1) for entry in entries):
+        raise InputError("certificate_from_obj: a sharp flag must be 0 or 1")
     if not cert.consistent():
         raise InputError(
             f"certificate_from_obj: the verdict {cert.verdict!r} disagrees with the "

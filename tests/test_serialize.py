@@ -365,7 +365,9 @@ def _paths(obj, prefix=()):
 # it is given, and the decoders have no g or k cap yet.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 16) | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
     max_leaves=6,
 )
 
