@@ -46,6 +46,10 @@ VERDICT_CERTIFIED = "Certified"
 VERDICT_FAILED = "Failed"
 VERDICT_NO_DIVISOR = "NoDivisor"
 
+# The scan-row entries of a cell with no divisor and of a cell out of coarse range.
+SCAN_NO_RECIPE = "none"
+SCAN_COARSE_OUT_OF_RANGE = "n/a"
+
 JUSTIFICATION_TWO_NODES = "TwoNodes"
 JUSTIFICATION_ONE_NODE = "OneNode"
 JUSTIFICATION_NONE = "None"
@@ -376,11 +380,12 @@ def _scan_cell(g: int, k: int, recipe: DivisorRecipe | None) -> ScanRow:
     coarse = coarse_range_ok(g, k)
     if recipe is None:
         verdict = no_divisor_certificate(g, k, MODE_STACK).verdict
-        return ScanRow(g, k, "none", None, verdict, verdict if coarse else "n/a", None)
+        coarse_verdict = verdict if coarse else SCAN_COARSE_OUT_OF_RANGE
+        return ScanRow(g, k, SCAN_NO_RECIPE, None, verdict, coarse_verdict, None)
     _check_recipe(g, k, recipe)
     s = _check_slope(recipe.slope)
     lowest = _least_margin(g, k, _margin_rows(k, s, coarse=False))
-    coarse_verdict = "n/a"
+    coarse_verdict = SCAN_COARSE_OUT_OF_RANGE
     if coarse:
         coarse_verdict = _verdict(MODE_COARSE, _least_margin(g, k, _coarse_rows(k)))
     return ScanRow(g, k, recipe.name, s, _verdict(MODE_STACK, lowest), coarse_verdict, lowest)

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, InvariantError
-from .partitions import Partition, lcm_of, partition_table
+from .partitions import Partition, lcm_of, partition_table, transposition_feasible
 from .spaces import (
     KIND_M0B,
     DivisorClass,
@@ -92,14 +92,26 @@ def boundary_index_set(g: int, k: int) -> list[BoundaryIndex]:
 
 
 def boundary_index(g: int, k: int, i: int, parts: tuple[int, ...]) -> BoundaryIndex:
-    """The boundary index (i, mu) of (g, k); InputError unless it is in `boundary_index_set`."""
-    _check_gk(g, k)
+    """The boundary index (i, mu) of (g, k); InputError unless it is in `boundary_index_set`.
+
+    Membership is tested directly, so the cost does not grow with g.
+    """
+    b = _check_gk(g, k)
     mu = Partition(parts)
-    if not isinstance(i, int) or (i, mu.parts) not in _index_positions(g, k):
+    if not isinstance(i, int) or not _is_index(b, k, i, mu):
         raise InputError(
             f"(i, mu) = ({i!r}, {mu}) is not a boundary index of (g, k) = ({g}, {k})"
         )
     return BoundaryIndex(i, mu)
+
+
+def _is_index(b: int, k: int, i: int, mu: Partition) -> bool:
+    """Is (i, mu) a boundary label of degree k with b branch points?
+
+    Feasibility is checked for i alone: k >= 3, b is even and b - i >= i, so
+    the condition for i implies the one for b - i.
+    """
+    return 2 <= i <= b // 2 and mu.weight == k and transposition_feasible(mu, i)
 
 
 # A scan visits each (g, k) once, so only the last few index sets are kept.
@@ -110,14 +122,12 @@ _INDEX_CACHE_SIZE = 8
 def _boundary_indices(g: int, k: int) -> tuple[BoundaryIndex, ...]:
     b = 2 * g + 2 * k - 2
     rows = partition_table(k)
-    out: list[BoundaryIndex] = []
-    for i in range(2, b // 2 + 1):
-        for row in rows:
-            # `transposition_feasible` for i and b - i: k >= 3, b is even and
-            # b - i >= i, so the condition for i implies the one for b - i.
-            if i >= row.drop and (i - row.drop) % 2 == 0:
-                out.append(BoundaryIndex(i, row.mu))
-    return tuple(out)
+    return tuple(
+        BoundaryIndex(i, row.mu)
+        for i in range(2, b // 2 + 1)
+        for row in rows
+        if _is_index(b, k, i, row.mu)
+    )
 
 
 @lru_cache(maxsize=_INDEX_CACHE_SIZE)

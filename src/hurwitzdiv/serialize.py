@@ -3,8 +3,11 @@
 Every payload layout lives here; the command-line interface builds none.
 Rationals travel as canonical strings "p/q" with gcd(p, q) = 1 and q > 0
 (plain "p" for integers); no floating point ever enters json or csv output.
-JSON objects are emitted with sorted keys and a fixed layout, so identical
-inputs yield byte-identical documents.  Every `*_to_obj` has a `*_from_obj`
+JSON documents come from one writer, `dumps_canonical`: its text is that of
+`json.dumps(obj, sort_keys=True, indent=2)` plus a final newline, so
+identical inputs yield byte-identical documents.  It writes only str, int,
+bool, None, list and dict with str keys, and raises InvariantError on any
+other value, a float included.  Every `*_to_obj` has a `*_from_obj`
 inverse and the round trip is exact, NoDivisor certificates included; only
 the oracle report has no decoder.  CSV uses LF line endings and a header
 row, and its columns are keys of the JSON rows (the cover-space class table
@@ -17,16 +20,26 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 import re
 from collections.abc import Iterable
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .bigness import VERDICT_NO_DIVISOR, BignessCertificate, IndexMargin, ScanRow, ScanTable
-from .errors import InputError
+from .bigness import (
+    SCAN_COARSE_OUT_OF_RANGE,
+    SCAN_NO_RECIPE,
+    VERDICT_CERTIFIED,
+    VERDICT_FAILED,
+    VERDICT_NO_DIVISOR,
+    BignessCertificate,
+    IndexMargin,
+    ScanRow,
+    ScanTable,
+)
+from .errors import InputError, InvariantError
 from .hurwitz import HurwitzClass, boundary_index
-from .lowslope import DivisorRecipe
+from .lowslope import RECIPE_NAMES, DivisorRecipe
 from .partitions import OracleReport, Partition, lcm_of
 from .pushpull import QuadraticClass
 from .spaces import KIND_M0B, DivisorClass, Space
@@ -407,21 +420,33 @@ def scan_table_to_obj(table: ScanTable) -> dict:
     }
 
 
+_VERDICTS = (VERDICT_CERTIFIED, VERDICT_FAILED, VERDICT_NO_DIVISOR)
+
+
+def _scan_row_from_obj(entry: dict) -> ScanRow:
+    row = ScanRow(
+        g=_field(entry, "g", int),
+        k=_field(entry, "k", int),
+        recipe=_field(entry, "recipe", str),
+        slope=_parse_optional_rational(entry["slope"]),
+        stack_verdict=_field(entry, "stack_verdict", str),
+        coarse_verdict=_field(entry, "coarse_verdict", str),
+        min_margin=_parse_optional_rational(entry["min_margin"]),
+    )
+    if row.g < 2 or row.k < 3:
+        raise InputError(f"scan_table_from_obj: a cell needs g >= 2 and k >= 3, got {entry!r}")
+    if row.recipe not in RECIPE_NAMES + (SCAN_NO_RECIPE,):
+        raise InputError(f"scan_table_from_obj: unknown recipe {row.recipe!r}")
+    if row.stack_verdict not in _VERDICTS:
+        raise InputError(f"scan_table_from_obj: unknown stack verdict {row.stack_verdict!r}")
+    if row.coarse_verdict not in _VERDICTS + (SCAN_COARSE_OUT_OF_RANGE,):
+        raise InputError(f"scan_table_from_obj: unknown coarse verdict {row.coarse_verdict!r}")
+    return row
+
+
 @_decoder
 def scan_table_from_obj(obj: dict) -> ScanTable:
-    rows = tuple(
-        ScanRow(
-            g=_field(entry, "g", int),
-            k=_field(entry, "k", int),
-            recipe=_field(entry, "recipe", str),
-            slope=_parse_optional_rational(entry["slope"]),
-            stack_verdict=_field(entry, "stack_verdict", str),
-            coarse_verdict=_field(entry, "coarse_verdict", str),
-            min_margin=_parse_optional_rational(entry["min_margin"]),
-        )
-        for entry in _field(obj, "rows", list)
-    )
-    return ScanTable(rows)
+    return ScanTable(tuple(_scan_row_from_obj(entry) for entry in _field(obj, "rows", list)))
 
 
 def scan_table_csv(table: ScanTable) -> str:
@@ -476,5 +501,52 @@ def oracle_report_text(report: OracleReport) -> str:
 
 
 def dumps_canonical(obj: dict) -> str:
-    """Serialise a JSON object deterministically (sorted keys, LF, newline)."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The text of `json.dumps(obj, sort_keys=True, indent=2)` plus a final newline.
+
+    Only str, int, bool, None, list and dict with str keys are written; any
+    other value, such as a float, a Fraction or a tuple, raises InvariantError.
+    """
+    return _render(obj, 0) + "\n"
+
+
+def _render(value, depth: int) -> str:
+    """One JSON value in the layout of `json.dumps(sort_keys=True, indent=2)`.
+
+    A container's text is one join of its pieces, so no piece is copied twice.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        pieces = ["["]
+        for item in value:
+            pieces += (inner, _render(item, depth + 1), ",")
+        # the last item's comma becomes the closing line
+        pieces[-1] = "\n" + "  " * depth + "]"
+        return "".join(pieces)
+    if kind is dict:
+        if not value:
+            return "{}"
+        try:
+            items = [(encode_basestring_ascii(key), item) for key, item in sorted(value.items())]
+        except TypeError:
+            kinds = sorted({type(key).__name__ for key in value})
+            raise InvariantError(f"JSON object keys must be str, got {kinds}") from None
+        inner = "\n" + "  " * (depth + 1)
+        pieces = ["{"]
+        for key, item in items:
+            pieces += (inner, key, ": ", _render(item, depth + 1), ",")
+        pieces[-1] = "\n" + "  " * depth + "}"
+        return "".join(pieces)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    raise InvariantError(f"no JSON encoding for {kind.__name__} {value!r}")

@@ -23,11 +23,12 @@ from hurwitzdiv import (
     coarse_correction,
     hodge_class,
     kappa1_m0b,
+    partitions_of,
     ramification_class,
     sharp_indicator,
     transposition_feasible,
 )
-from hurwitzdiv.hurwitz import HurwitzClass
+from hurwitzdiv.hurwitz import HurwitzClass, boundary_index
 
 F = Fraction
 P = Partition
@@ -65,6 +66,22 @@ def test_boundary_index_set_validation():
         boundary_index_set(1, 3)
     with pytest.raises(InputError):
         boundary_index_set(2, 2)
+
+
+def test_boundary_index_accepts_exactly_the_index_set():
+    # the direct membership test agrees with the enumerated set, on a grid of
+    # (i, mu) with i outside 2..b/2 and mu of weight k - 1, k and k + 1
+    for g, k in ((2, 3), (3, 4), (5, 5), (4, 6), (7, 7)):
+        b = 2 * g + 2 * k - 2
+        keys = {index.key for index in boundary_index_set(g, k)}
+        shapes = [mu.parts for weight in (k - 1, k, k + 1) for mu in partitions_of(weight)]
+        for i in range(-1, b + 3):
+            for parts in shapes:
+                if (i, parts) in keys:
+                    assert boundary_index(g, k, i, parts).key == (i, parts)
+                else:
+                    with pytest.raises(InputError, match="not a boundary index"):
+                        boundary_index(g, k, i, parts)
 
 
 def test_hurwitz_class_rejects_stray_indices():

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hurwitzdiv.hurwitz as hurwitz
 from hurwitzdiv import (
     DivisorClass,
     InputError,
+    InvariantError,
     Partition,
     QuadraticClass,
     best_recipe,
@@ -361,8 +363,8 @@ def _paths(obj, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-# Integers stay small: a decoder builds the index set or basis of the (g, k)
-# it is given, and the decoders have no g or k cap yet.
+# Integers stay small: the recipe and divisor-class decoders build the basis
+# of the g they are given, and nothing caps that g yet.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 16) | st.floats() | st.text(max_size=6),
     lambda inner: (
@@ -386,6 +388,58 @@ def test_decoders_accept_or_reject_any_json_in_one_field(decode, data):
         decode(obj)
     except InputError:
         pass
+
+
+def test_certificate_decoder_never_builds_the_index_set(monkeypatch, capsys):
+    # each index row is tested on its own, so a huge g costs no more than g = 10
+    assert main("verify stack --g 10 --k 4".split()) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    payload["g"] = 10**30
+
+    def refuse(g, k):
+        raise AssertionError(f"the index set of (g, k) = ({g}, {k}) was built")
+
+    monkeypatch.setattr(hurwitz, "_boundary_indices", refuse)
+    try:
+        certificate_from_obj(payload)
+    except InputError:
+        pass
+
+
+def _scan_payload(**changes) -> dict:
+    obj = scan_table_to_obj(scan(3, 3, 8, 8))
+    obj["rows"][0].update(changes)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(stack_verdict="x", g=-1),
+        dict(g=-1),
+        dict(g=1),
+        dict(k=2),
+        dict(stack_verdict="x"),
+        dict(stack_verdict="n/a"),
+        dict(coarse_verdict="Proved"),
+        dict(coarse_verdict="none"),
+        dict(recipe="x"),
+        dict(recipe="n/a"),
+    ],
+    ids=repr,
+)
+def test_scan_decoder_rejects_rows_a_scan_never_writes(changes):
+    assert scan_table_to_obj(scan_table_from_obj(_scan_payload())) == _scan_payload()
+    with pytest.raises(InputError, match="scan_table_from_obj"):
+        scan_table_from_obj(_scan_payload(**changes))
+
+
+def test_scan_payload_round_trips(capsys):
+    assert main("scan --k 3 10 --g 6 60".split()) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    table = scan_table_from_obj(payload)
+    assert len(table.rows) == 440
+    assert scan_table_to_obj(table) == payload
 
 
 def test_certificate_csv_header():
@@ -429,3 +483,34 @@ def test_dumps_canonical_is_key_sorted_and_stable():
     assert text.endswith("\n")
     parsed = json.loads(text)
     assert list(parsed) == sorted(parsed)
+
+
+# Strings mix ASCII, control characters, quotes, backslashes, non-ASCII and
+# astral characters with arbitrary text.
+_TEXT = st.text(st.sampled_from('\x00\x1f\n\t"\\/ aZé\u2028\ufeff\U0001d11e') | st.characters())
+_WRITABLE = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_WRITABLE)
+def test_dumps_canonical_writes_the_text_of_json_dumps(value):
+    assert dumps_canonical(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.5, float("nan"), F(1, 2), (1, 2), {1: "a"}, {"a": 1, 2: "b"}, [[{"a": 1.0}]]],
+    ids=repr,
+)
+def test_dumps_canonical_rejects_values_no_payload_holds(value):
+    for obj in (value, {"payload": value}, [value]):
+        with pytest.raises(InvariantError):
+            dumps_canonical(obj)
+
+
+def test_dumps_canonical_writes_bools_as_bools():
+    assert dumps_canonical([True, 1, False, 0]) == "[\n  true,\n  1,\n  false,\n  0\n]\n"
