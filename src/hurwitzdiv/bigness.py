@@ -35,7 +35,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import HypothesisError, InputError, InvariantError
-from .hurwitz import BoundaryIndex, _affine, _check_gk, _class_terms, boundary_index_set
+from .hurwitz import (
+    BoundaryIndex,
+    _affine,
+    _check_gk,
+    _class_terms,
+    _first_index,
+    boundary_index_set,
+)
 from .lowslope import DivisorRecipe, _avoidance_hypotheses, genus_recipe, recipe_for_degree
 from .partitions import partition_table
 
@@ -106,12 +113,11 @@ def sigma_delta_lower_bound(index: BoundaryIndex, branch_component: bool = False
     return SigmaDeltaBound(index, Fraction(bound), justification)
 
 
-def _margin_row(table: dict, mu: tuple[int, ...], s: Fraction, coarse: bool) -> tuple:
-    """The margin K - s*lambda + sigma at the indices of partition mu.
+def _margin_terms(table: dict, mu: tuple[int, ...], s: Fraction, coarse: bool) -> tuple:
+    """(a, c, sigma, sharp): the margin K - s*lambda + sigma is a q + c at the indices of mu.
 
-    A row holds the (a, c) of the margin, the (a, c) of the kappa1 pullback,
-    sigma, the sharp flag and the note.  K is the stack canonical class, plus
-    the coarse correction in the coarse mode.
+    K is the stack canonical class, plus the coarse correction in the coarse
+    mode; sharp is 1 where that correction is -1.
     """
     (ka, kc), (la, lc), sharp = table["stack"][mu], table["hodge"][mu], 0
     if coarse:
@@ -119,9 +125,18 @@ def _margin_row(table: dict, mu: tuple[int, ...], s: Fraction, coarse: bool) -> 
         # the coarse correction is -1 exactly at the sharp partitions
         ka, kc, sharp = ka + ca, kc + cc, -cc
     bound = _sigma_rule(mu, bool(sharp))[0]
-    c = kc - s * lc + bound
+    return ka - s * la, kc - s * lc + bound, bound, sharp
+
+
+def _margin_row(table: dict, mu: tuple[int, ...], s: Fraction, coarse: bool) -> tuple:
+    """The certificate row of partition mu.
+
+    It holds the (a, c) of the margin, the (a, c) of the kappa1 pullback,
+    sigma, the sharp flag and the note.
+    """
+    a, c, bound, sharp = _margin_terms(table, mu, s, coarse)
     note = _ABSORBED_NOTE if coarse and c == 0 else ""
-    return (ka - s * la, c, table["kappa1"][mu], Fraction(bound), sharp, note)
+    return (a, c, table["kappa1"][mu], Fraction(bound), sharp, note)
 
 
 def _margin_rows(k: int, s: Fraction, coarse: bool) -> dict[tuple[int, ...], tuple]:
@@ -146,7 +161,7 @@ def _margin_at(g: int, k: int, s: Fraction, index: BoundaryIndex, coarse: bool) 
     if index.mu.weight != k:
         raise InputError(f"mu = {index.mu} is not a partition of k = {k}")
     b = 2 * g + 2 * k - 2
-    a, c = _margin_row(_class_terms(k), index.mu.parts, s, coarse)[:2]
+    a, c = _margin_terms(_class_terms(k), index.mu.parts, s, coarse)[:2]
     return a * Fraction(index.i * (b - index.i), b - 1) + c
 
 
@@ -347,19 +362,19 @@ class ScanTable:
 def _least_margin(g: int, k: int, rows: dict[tuple[int, ...], tuple]) -> Fraction:
     """The least margin of one mode over the boundary indices of (g, k).
 
+    `rows[mu]` starts with the (a, c) of the margin on partition mu.
     Endpoint rule: on a partition mu the margin is a q + c with
     q = i(b-i)/(b-1), which increases on [2, b/2], and a >= 0 (a = m(1 - s/8)
     in the stack mode with s < 8, a = 0 in the coarse slope-8 limit).  So the
-    least margin of mu is at its smallest feasible index i0: drop = k - l(mu)
-    if drop >= 2, else drop + 2, the least i >= 2 of the parity of drop.
-    Every partition has this index, since i0 <= max(k - 1, 3) < b/2 for
-    g >= 2.  This evaluates one margin per partition, O(p(k)), where the
-    certificate lists all O(b p(k)) of them.
+    least margin of mu is at its smallest feasible index i0
+    (`hurwitz._first_index`).  Every partition has this index, since
+    i0 <= max(k - 1, 3) < b/2 for g >= 2.  This evaluates one margin per
+    partition, O(p(k)), where the certificate lists all O(b p(k)) of them.
     """
     b = 2 * g + 2 * k - 2
     best_num = best_den = None
     for row in partition_table(k):
-        i = row.drop if row.drop >= 2 else row.drop + 2
+        i = _first_index(row.drop)
         a, c = rows[row.mu.parts][:2]
         if a < 0:
             raise InvariantError(f"the margin of mu = {row.mu} decreases in q (a = {a})")
@@ -384,7 +399,9 @@ def _scan_cell(g: int, k: int, recipe: DivisorRecipe | None) -> ScanRow:
         return ScanRow(g, k, SCAN_NO_RECIPE, None, verdict, coarse_verdict, None)
     _check_recipe(g, k, recipe)
     s = _check_slope(recipe.slope)
-    lowest = _least_margin(g, k, _margin_rows(k, s, coarse=False))
+    table = _class_terms(k)
+    stack_terms = {mu: _margin_terms(table, mu, s, coarse=False) for mu in table["stack"]}
+    lowest = _least_margin(g, k, stack_terms)
     coarse_verdict = SCAN_COARSE_OUT_OF_RANGE
     if coarse:
         coarse_verdict = _verdict(MODE_COARSE, _least_margin(g, k, _coarse_rows(k)))

@@ -12,8 +12,11 @@ oracle    count transposition factorizations and compare with the
           feasibility criterion
 
 Exit codes: 0 success / Certified, 1 verification failure or no divisor
-available, 2 usage or hypothesis error, 3 I/O error.  Output formats: json
-(default; deterministic, key-sorted envelope), csv, text.  Rationals are
+available, 2 usage or hypothesis error, 3 I/O error (a closed stdout
+included), 4 internal invariant violated (a bug; stdout may hold part of a
+document).  Each error writes one line to stderr.  Output formats: json
+(default; deterministic, key-sorted envelope, streamed in chunks once its
+payload is built), csv, text.  Rationals are
 read and written as "p/q" strings; floats are never accepted.  The
 environment variable HURWITZ_MAX_K (default 10) caps k as a resource guard
 on the partition lattice.
@@ -37,7 +40,7 @@ from .bigness import (
     verify_coarse,
     verify_stack,
 )
-from .errors import HypothesisError, InputError, ResourceError
+from .errors import HypothesisError, InputError, InvariantError, ResourceError
 from .hurwitz import (
     branch_pullback_boundary,
     canonical_class_coarse,
@@ -64,7 +67,6 @@ from .serialize import (
     divisor_class_csv,
     divisor_class_text,
     divisor_class_to_obj,
-    envelope_json,
     hurwitz_class_csv,
     hurwitz_class_text,
     hurwitz_class_to_obj,
@@ -80,6 +82,7 @@ from .serialize import (
     scan_table_csv,
     scan_table_text,
     scan_table_to_obj,
+    write_envelope,
 )
 from .spaces import canonical_class_m0b, kappa1_m0b, weierstrass_class
 
@@ -103,9 +106,13 @@ def _require(args: argparse.Namespace, names: list[str], command: str) -> None:
 
 
 def _emit(args: argparse.Namespace, argv: list[str], value, to_obj, to_csv, to_text) -> None:
-    """Write `value` with the renderer of the requested format; no other runs."""
+    """Write `value` with the renderer of the requested format; no other runs.
+
+    The JSON payload is built in full before its document is streamed to
+    stdout, so an input error writes nothing.
+    """
     if args.format == "json":
-        sys.stdout.write(envelope_json(argv, value, to_obj(value)))
+        write_envelope(argv, value, to_obj(value), sys.stdout.write)
     elif args.format == "csv":
         sys.stdout.write(to_csv(value))
     else:
@@ -294,13 +301,33 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _RUNNERS[args.command](args, argv)
+        code = _RUNNERS[args.command](args, argv)
+        # a closed stdout may show only when the last buffered chunk goes out
+        sys.stdout.flush()
+        return code
     except (InputError, HypothesisError, ResourceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except InvariantError as exc:
+        sys.stderr.write(f"invariant error: {exc}\n")
+        return 4
+    except BrokenPipeError as exc:
+        _discard_stdout()
+        sys.stderr.write(f"i/o error: {exc}\n")
+        return 3
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3
+
+
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so the flush at exit cannot fail again."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):
+        pass  # stdout has no file descriptor, so nothing is flushed to one at exit
 
 
 def entrypoint() -> None:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, InvariantError
-from .partitions import Partition, lcm_of, partition_table, transposition_feasible
+from .partitions import Partition, partition_table, transposition_feasible
 from .spaces import (
     KIND_M0B,
     DivisorClass,
@@ -118,15 +118,27 @@ def _is_index(b: int, k: int, i: int, mu: Partition) -> bool:
 _INDEX_CACHE_SIZE = 8
 
 
+def _first_index(drop: int) -> int:
+    """The least boundary index i of a partition with k - l(mu) = drop.
+
+    It is the least i >= 2 of the parity of drop; the partition's indices
+    are i0, i0 + 2, ..., up to b/2, which `_is_index` accepts.
+    """
+    return drop if drop >= 2 else drop + 2
+
+
 @lru_cache(maxsize=_INDEX_CACHE_SIZE)
 def _boundary_indices(g: int, k: int) -> tuple[BoundaryIndex, ...]:
     b = 2 * g + 2 * k - 2
-    rows = partition_table(k)
+    # the indices of a partition are i0, i0 + 2, ...: each i takes the
+    # partitions of its parity with i0 <= i
+    starts = [(row.mu, _first_index(row.drop)) for row in partition_table(k)]
+    by_parity = [[(mu, i0) for mu, i0 in starts if i0 % 2 == parity] for parity in (0, 1)]
     return tuple(
-        BoundaryIndex(i, row.mu)
+        BoundaryIndex(i, mu)
         for i in range(2, b // 2 + 1)
-        for row in rows
-        if _is_index(b, k, i, row.mu)
+        for mu, i0 in by_parity[i % 2]
+        if i0 <= i
     )
 
 
@@ -218,13 +230,21 @@ def _affine(a: Rational, c: Rational, b: int) -> tuple[int, int, int]:
 
 
 def _expand(g: int, k: int, name: str) -> dict[IndexKey, Fraction]:
-    """The coefficients of one row of the table at every boundary index."""
+    """The coefficients of one row of the table at every boundary index.
+
+    The keys are those of the cached index positions, and a partition with
+    a = 0 shares one Fraction among its indices.
+    """
     b = _check_gk(g, k)
-    affine = {mu: _affine(a, c, b) for mu, (a, c) in _class_terms(k)[name].items()}
+    rows = {
+        mu: (*_affine(a, c, b), None if a else Fraction(c))
+        for mu, (a, c) in _class_terms(k)[name].items()
+    }
     coeffs: dict[IndexKey, Fraction] = {}
-    for index in _boundary_indices(g, k):
-        p, r, d = affine[index.mu.parts]
-        coeffs[index.key] = Fraction(p * index.i * (b - index.i) + r, d)
+    for key in _index_positions(g, k):
+        i, parts = key
+        p, r, d, constant = rows[parts]
+        coeffs[key] = constant if constant is not None else Fraction(p * i * (b - i) + r, d)
     return coeffs
 
 
@@ -250,11 +270,14 @@ def branch_pullback(g: int, k: int, divisor: DivisorClass) -> HurwitzClass:
             f"got {divisor.space}"
         )
     values = divisor.as_dict()
+    weights = [values.get(f"B_{i}") for i in range(b // 2 + 1)]
+    lcms = {row.mu.parts: row.lcm for row in partition_table(k)}
     coeffs: dict[IndexKey, Fraction] = {}
-    for index in _boundary_indices(g, k):
-        c = values.get(f"B_{index.i}")
+    for key in _index_positions(g, k):
+        i, parts = key
+        c = weights[i]
         if c:
-            coeffs[index.key] = c * lcm_of(index.mu)
+            coeffs[key] = c * lcms[parts]
     return HurwitzClass.make(g, k, coeffs)
 
 

@@ -3,11 +3,15 @@
 Every payload layout lives here; the command-line interface builds none.
 Rationals travel as canonical strings "p/q" with gcd(p, q) = 1 and q > 0
 (plain "p" for integers); no floating point ever enters json or csv output.
-JSON documents come from one writer, `dumps_canonical`: its text is that of
-`json.dumps(obj, sort_keys=True, indent=2)` plus a final newline, so
-identical inputs yield byte-identical documents.  It writes only str, int,
-bool, None, list and dict with str keys, and raises InvariantError on any
-other value, a float included.  Every `*_to_obj` has a `*_from_obj`
+JSON documents come from one writer, `write_canonical(obj, write)`: the text
+it passes to `write` is that of `json.dumps(obj, sort_keys=True, indent=2)`
+plus a final newline, so identical inputs yield byte-identical documents.
+It writes a list of more than 1,024 items one chunk of items at a time, so
+the command line streams a large certificate to stdout without holding its
+whole text; `dumps_canonical` collects the same chunks into one string.  It
+writes only str, int, bool, None, list and dict with str keys, and raises
+InvariantError on any other value, a float included, possibly after earlier
+chunks have been written.  Every `*_to_obj` has a `*_from_obj`
 inverse and the round trip is exact, NoDivisor certificates included; only
 the oracle report has no decoder.  CSV uses LF line endings and a header
 row, and its columns are keys of the JSON rows (the cover-space class table
@@ -21,7 +25,7 @@ import csv
 import functools
 import io
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -101,16 +105,17 @@ def json_rows_csv(columns: list[str], rows: Iterable[dict]) -> str:
     return buffer.getvalue()
 
 
-def envelope_json(argv: list[str], value, payload: dict) -> str:
-    """The JSON document of one command: the payload of `value` in the versioned envelope."""
-    return dumps_canonical(
+def write_envelope(argv: list[str], value, payload: dict, write: Callable[[str], object]) -> None:
+    """Write the JSON document of one command: the payload of `value` in the versioned envelope."""
+    write_canonical(
         {
             "command": "hurwitzdiv " + " ".join(argv),
             "format": "json",
             "payload": payload,
             "payload_type": type(value).__name__,
             "tool_version": __version__,
-        }
+        },
+        write,
     )
 
 
@@ -500,53 +505,98 @@ def oracle_report_text(report: OracleReport) -> str:
     )
 
 
+# A list longer than this is written one chunk of items at a time.
+_CHUNK = 1024
+
+
 def dumps_canonical(obj: dict) -> str:
     """The text of `json.dumps(obj, sort_keys=True, indent=2)` plus a final newline.
 
     Only str, int, bool, None, list and dict with str keys are written; any
     other value, such as a float, a Fraction or a tuple, raises InvariantError.
     """
-    return _render(obj, 0) + "\n"
+    chunks: list[str] = []
+    write_canonical(obj, chunks.append)
+    return "".join(chunks)
 
 
-def _render(value, depth: int) -> str:
-    """One JSON value in the layout of `json.dumps(sort_keys=True, indent=2)`.
+def write_canonical(obj: dict, write: Callable[[str], object]) -> None:
+    """Pass the text of `dumps_canonical(obj)` to `write`, in order, in a few chunks.
 
-    A container's text is one join of its pieces, so no piece is copied twice.
+    Each call gets one join of pending pieces.  A list of more than `_CHUNK`
+    items, at the top or reached through objects, is written a chunk of
+    items at a time, so the text held at once does not grow with its length.
+    An error may come after some chunks have been written.
+    """
+    pending: list[str] = []
+    _put(obj, 0, pending, write)
+    pending.append("\n")
+    _flush(pending, write)
+
+
+def _flush(out: list[str], write: Callable[[str], object]) -> None:
+    """Write the pending pieces as one string; they are dropped before the write."""
+    text = "".join(out)
+    out.clear()
+    write(text)
+
+
+def _put(value, depth: int, out: list[str], write: Callable[[str], object] | None) -> None:
+    """Append the text of one JSON value, in the layout of `json.dumps(sort_keys=True, indent=2)`.
+
+    `write` is passed down through objects only.  A list that has it joins
+    each item, rendered with `write=None`, into one piece, and once it has
+    more than `_CHUNK` items it writes `out` through `write` after each
+    chunk but the last.
     """
     kind = type(value)
     if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return repr(value)
-    if kind is list:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(repr(value))
+    elif kind is list:
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         inner = "\n" + "  " * (depth + 1)
-        pieces = ["["]
-        for item in value:
-            pieces += (inner, _render(item, depth + 1), ",")
+        out.append("[")
+        if write is None:
+            for item in value:
+                out.append(inner)
+                _put(item, depth + 1, out, None)
+                out.append(",")
+        else:
+            # one piece per item keeps the pieces of a chunk few and short-lived
+            for start in range(0, len(value), _CHUNK):
+                if start:
+                    _flush(out, write)
+                for item in value[start : start + _CHUNK]:
+                    piece = [inner]
+                    _put(item, depth + 1, piece, None)
+                    out += ("".join(piece), ",")
         # the last item's comma becomes the closing line
-        pieces[-1] = "\n" + "  " * depth + "]"
-        return "".join(pieces)
-    if kind is dict:
+        out[-1] = "\n" + "  " * depth + "]"
+    elif kind is dict:
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         try:
             items = [(encode_basestring_ascii(key), item) for key, item in sorted(value.items())]
         except TypeError:
             kinds = sorted({type(key).__name__ for key in value})
             raise InvariantError(f"JSON object keys must be str, got {kinds}") from None
         inner = "\n" + "  " * (depth + 1)
-        pieces = ["{"]
+        out.append("{")
         for key, item in items:
-            pieces += (inner, key, ": ", _render(item, depth + 1), ",")
-        pieces[-1] = "\n" + "  " * depth + "}"
-        return "".join(pieces)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    raise InvariantError(f"no JSON encoding for {kind.__name__} {value!r}")
+            out += (inner, key, ": ")
+            _put(item, depth + 1, out, write)
+            out.append(",")
+        out[-1] = "\n" + "  " * depth + "}"
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    else:
+        raise InvariantError(f"no JSON encoding for {kind.__name__} {value!r}")

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import hurwitzdiv
 from hurwitzdiv.cli import main
 
 
@@ -235,3 +240,74 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert '"count": "3"' in proc.stdout
+
+
+def _cli_env() -> dict[str, str]:
+    src = str(Path(hurwitzdiv.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.mark.parametrize(
+    "args, lines_read",
+    [
+        # the pipe closes while the chunks of a 0.8 MB document are written
+        (["verify", "stack", "--g", "200", "--k", "10"], 1),
+        # a small document meets the closed pipe only when stdout is flushed
+        (["oracle", "--k", "3", "--mu", "3", "--i", "2"], 0),
+    ],
+)
+def test_closed_stdout_exits_three_with_one_line(args, lines_read):
+    # a reader that stops early, as `| head -1` does; stdout stays buffered
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(
+        [sys.executable, "-m", "hurwitzdiv.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        for _ in range(lines_read):
+            assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 3
+    assert len(err.splitlines()) == 1 and err.startswith("i/o error:"), err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# The last certificate row carries a float, which has no canonical encoding,
+# so the writer fails after it has written the earlier chunks.
+_LATE_INVARIANT = """
+import sys
+import hurwitzdiv.cli as cli
+
+to_obj = cli.certificate_to_obj
+
+def broken(cert):
+    obj = to_obj(cert)
+    obj["indices"][-1]["margin"] = 0.5
+    return obj
+
+cli.certificate_to_obj = broken
+sys.exit(cli.main(["verify", "stack", "--g", "200", "--k", "10"]))
+"""
+
+
+def test_invariant_error_after_partial_output_exits_four():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LATE_INVARIANT], capture_output=True, text=True, env=_cli_env()
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == ["invariant error: no JSON encoding for float 0.5"]
+    assert proc.stdout.startswith('{\n  "command": "hurwitzdiv verify stack')
+    assert len(proc.stdout) > 100_000 and not proc.stdout.endswith("}\n")
+
+
+def test_invariant_error_exits_four(capsys, monkeypatch):
+    ramification = hurwitzdiv.hurwitz.ramification_class
+    monkeypatch.setattr(
+        hurwitzdiv.hurwitz, "ramification_class", lambda g, k: ramification(g, k) * 2
+    )
+    code, out, err = run_cli(capsys, ["classes", "canonical-stack", "--g", "4", "--k", "4"])
+    assert (code, out) == (4, "")
+    assert err == "invariant error: canonical class disagrees with pullback + ramification\n"

@@ -28,7 +28,15 @@ from hurwitzdiv import (
     sharp_indicator,
     transposition_feasible,
 )
-from hurwitzdiv.hurwitz import HurwitzClass, boundary_index
+from hurwitzdiv.hurwitz import (
+    BoundaryIndex,
+    HurwitzClass,
+    _boundary_indices,
+    _first_index,
+    _is_index,
+    boundary_index,
+)
+from hurwitzdiv.partitions import partition_table
 
 F = Fraction
 P = Partition
@@ -82,6 +90,27 @@ def test_boundary_index_accepts_exactly_the_index_set():
                 else:
                     with pytest.raises(InputError, match="not a boundary index"):
                         boundary_index(g, k, i, parts)
+
+
+def test_index_set_enumeration_equals_the_predicate():
+    # enumerating by partition gives the candidates that `_is_index` accepts, in order
+    for g in range(2, 26):
+        for k in range(3, 11):
+            b = 2 * g + 2 * k - 2
+            filtered = [
+                BoundaryIndex(i, mu)
+                for i in range(2, b // 2 + 1)
+                for mu in partitions_of(k)
+                if _is_index(b, k, i, mu)
+            ]
+            assert list(_boundary_indices(g, k)) == filtered, (g, k)
+
+
+def test_first_index_is_the_least_feasible_index():
+    for k in range(3, 11):
+        for row in partition_table(k):
+            least = next(i for i in range(2, 2 * k + 2) if transposition_feasible(row.mu, i))
+            assert _first_index(row.drop) == least, row.mu
 
 
 def test_hurwitz_class_rejects_stray_indices():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,7 @@ from hurwitzdiv.serialize import (
     scan_table_to_obj,
     space_from_obj,
     space_to_obj,
+    write_canonical,
 )
 
 F = Fraction
@@ -514,3 +516,55 @@ def test_dumps_canonical_rejects_values_no_payload_holds(value):
 
 def test_dumps_canonical_writes_bools_as_bools():
     assert dumps_canonical([True, 1, False, 0]) == "[\n  true,\n  1,\n  false,\n  0\n]\n"
+
+
+def _collected(obj) -> list[str]:
+    chunks: list[str] = []
+    write_canonical(obj, chunks.append)
+    return chunks
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+def test_write_canonical_writes_the_text_of_json_dumps(n):
+    rows = [{"i": j, "mu": [j % 7 + 1, 1], "note": "é" * (j % 3)} for j in range(n)]
+    for value in (
+        rows,
+        {"payload": {"rows": rows, "tail": list(range(n))}, "z": [[], {}]},
+        [list(range(n)), [list(range(n))], "x"],
+    ):
+        expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
+        assert "".join(_collected(value)) == dumps_canonical(value) == expected
+
+
+def test_write_canonical_writes_a_long_list_a_chunk_at_a_time():
+    assert len(_collected(list(range(1024)))) == 1
+    assert len(_collected(list(range(1025)))) == 2
+    assert len(_collected({"a": list(range(2049)), "b": list(range(2049))})) == 5
+
+
+def test_certificate_is_written_in_few_chunks():
+    cert = verify_stack(1000, 10, best_recipe(1000, 10))
+    rows = len(cert.per_index)
+    assert rows > 20_000
+    assert len(_collected(certificate_to_obj(cert))) <= rows // 1024 + 2
+
+
+def test_writing_a_certificate_holds_far_less_than_its_text():
+    obj = certificate_to_obj(verify_stack(200, 10, best_recipe(200, 10)))
+    length = len(dumps_canonical(obj))
+    tracemalloc.start()
+    try:
+        write_canonical(obj, lambda chunk: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a writer that builds the whole text first peaks above its length
+    assert peak < length * 2 // 3, (peak, length)
+
+
+def test_write_canonical_rejects_a_late_float_after_writing_earlier_chunks():
+    chunks: list[str] = []
+    with pytest.raises(InvariantError):
+        write_canonical({"rows": list(range(3000)) + [0.5]}, chunks.append)
+    assert len(chunks) == 2
+    assert "".join(chunks).startswith('{\n  "rows": [\n    0,')
