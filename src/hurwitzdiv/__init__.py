@@ -26,11 +26,9 @@ from .bigness import (
     IndexMargin,
     ScanRow,
     ScanTable,
-    SigmaDeltaBound,
     coarse_inequality_lhs,
     coarse_range_ok,
     scan,
-    sigma_delta_lower_bound,
     stack_inequality_lhs,
     verify_coarse,
     verify_stack,
@@ -154,12 +152,10 @@ __all__ = [
     "canonical_class_coarse",
     "sharp_indicator",
     # bigness
-    "SigmaDeltaBound",
     "IndexMargin",
     "BignessCertificate",
     "ScanRow",
     "ScanTable",
-    "sigma_delta_lower_bound",
     "stack_inequality_lhs",
     "coarse_inequality_lhs",
     "coarse_range_ok",

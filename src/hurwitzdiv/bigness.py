@@ -14,7 +14,11 @@ with at least two nodes), 1 for mu = (2, 1^(k-2)), and 2 again on the 2:1
 branch components of the latter; 0 otherwise.  These multiplicity bounds are
 asserted inputs of the certificate, not verified.  K, lambda and the kappa1
 pullback are read from the per-partition table of :mod:`.hurwitz`: each is
-affine in q = i(b-i)/(b-1) on a partition, and so is every margin.
+affine in q = i(b-i)/(b-1) on a partition, and so is every margin.  On
+the indices of a partition q increases and kappa1 is positive, so a margin,
+and its ratio to kappa1, is monotone in q: the least margin and alpha are
+read at one endpoint index per partition, the first or the last by the sign
+of the ratio's slope (`_least_margin`).
 
 For the coarse moduli space K is the coarse canonical class, which drops by
 1 along each index whose cover has a 2:1 component over the degenerate
@@ -34,13 +38,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import HypothesisError, InputError, InvariantError
+from .errors import HypothesisError, InputError
 from .hurwitz import (
     BoundaryIndex,
-    _affine,
     _check_gk,
     _class_terms,
     _first_index,
+    _row_values,
     boundary_index_set,
 )
 from .lowslope import DivisorRecipe, _avoidance_hypotheses, genus_recipe, recipe_for_degree
@@ -56,11 +60,6 @@ VERDICT_NO_DIVISOR = "NoDivisor"
 # The scan-row entries of a cell with no divisor and of a cell out of coarse range.
 SCAN_NO_RECIPE = "none"
 SCAN_COARSE_OUT_OF_RANGE = "n/a"
-
-JUSTIFICATION_TWO_NODES = "TwoNodes"
-JUSTIFICATION_ONE_NODE = "OneNode"
-JUSTIFICATION_NONE = "None"
-JUSTIFICATION_BRANCH_TWO_NODES = "BranchComponentTwoNodes"
 
 MAX_SCAN_G = 60
 MAX_SCAN_K = 10
@@ -82,70 +81,45 @@ _FEASIBILITY_NOTE = (
 )
 _ABSORBED_NOTE = "absorbed by ample term"
 
-
-@dataclass(frozen=True)
-class SigmaDeltaBound:
-    """Lower bound for one coefficient of the pulled-back total boundary."""
-
-    index: BoundaryIndex
-    bound: Fraction
-    justification: str
+# {mu: a tuple that starts with the (a, c) of a function a q + c on the indices of mu}
+_Rows = dict[tuple[int, ...], tuple]
 
 
-def _sigma_rule(parts: tuple[int, ...], branch_component: bool) -> tuple[int, str]:
-    k = sum(parts)
-    if parts == (1,) * k:
-        return 2, JUSTIFICATION_TWO_NODES
-    if parts == (2,) + (1,) * (k - 2):
-        if branch_component:
-            return 2, JUSTIFICATION_BRANCH_TWO_NODES
-        return 1, JUSTIFICATION_ONE_NODE
-    return 0, JUSTIFICATION_NONE
-
-
-def sigma_delta_lower_bound(index: BoundaryIndex, branch_component: bool = False) -> SigmaDeltaBound:
-    """Asserted lower bound for the delta-pullback coefficient at an index.
+def _sigma_rule(parts: tuple[int, ...], branch_component: bool) -> int:
+    """The asserted lower bound sigma for the delta-pullback coefficient at the indices of mu.
 
     mu = (1^k) always gets 2; mu = (2, 1^(k-2)) gets 2 on its 2:1 branch
     component and 1 otherwise; everything else gets the trivial bound 0.
     """
-    bound, justification = _sigma_rule(index.mu.parts, branch_component)
-    return SigmaDeltaBound(index, Fraction(bound), justification)
+    k = sum(parts)
+    if parts == (1,) * k:
+        return 2
+    if parts == (2,) + (1,) * (k - 2):
+        return 2 if branch_component else 1
+    return 0
 
 
-def _margin_terms(table: dict, mu: tuple[int, ...], s: Fraction, coarse: bool) -> tuple:
-    """(a, c, sigma, sharp): the margin K - s*lambda + sigma is a q + c at the indices of mu.
+def _margin_rows(k: int, s: Fraction, coarse: bool) -> _Rows:
+    """{mu: (a, c, sigma, sharp)}: the margin K - s*lambda + sigma is a q + c at the indices of mu.
 
     K is the stack canonical class, plus the coarse correction in the coarse
     mode; sharp is 1 where that correction is -1.
     """
-    (ka, kc), (la, lc), sharp = table["stack"][mu], table["hodge"][mu], 0
-    if coarse:
-        ca, cc = table["coarse"][mu]
-        # the coarse correction is -1 exactly at the sharp partitions
-        ka, kc, sharp = ka + ca, kc + cc, -cc
-    bound = _sigma_rule(mu, bool(sharp))[0]
-    return ka - s * la, kc - s * lc + bound, bound, sharp
-
-
-def _margin_row(table: dict, mu: tuple[int, ...], s: Fraction, coarse: bool) -> tuple:
-    """The certificate row of partition mu.
-
-    It holds the (a, c) of the margin, the (a, c) of the kappa1 pullback,
-    sigma, the sharp flag and the note.
-    """
-    a, c, bound, sharp = _margin_terms(table, mu, s, coarse)
-    note = _ABSORBED_NOTE if coarse and c == 0 else ""
-    return (a, c, table["kappa1"][mu], Fraction(bound), sharp, note)
-
-
-def _margin_rows(k: int, s: Fraction, coarse: bool) -> dict[tuple[int, ...], tuple]:
     table = _class_terms(k)
-    return {mu: _margin_row(table, mu, s, coarse) for mu in table["stack"]}
+    rows = {}
+    for mu, (ka, kc) in table["stack"].items():
+        (la, lc), sharp = table["hodge"][mu], 0
+        if coarse:
+            ca, cc = table["coarse"][mu]
+            # the coarse correction is -1 exactly at the sharp partitions
+            ka, kc, sharp = ka + ca, kc + cc, -cc
+        sigma = _sigma_rule(mu, bool(sharp))
+        rows[mu] = (ka - s * la, kc - s * lc + sigma, sigma, sharp)
+    return rows
 
 
 @lru_cache(maxsize=16)
-def _coarse_rows(k: int) -> dict[tuple[int, ...], tuple]:
+def _coarse_rows(k: int) -> _Rows:
     """The coarse rows, in the slope-8 limit: a = 0 there, so they depend on k alone."""
     return _margin_rows(k, _COARSE_SLOPE, coarse=True)
 
@@ -157,22 +131,21 @@ def _check_slope(s: Fraction) -> Fraction:
     return s
 
 
-def _margin_at(g: int, k: int, s: Fraction, index: BoundaryIndex, coarse: bool) -> Fraction:
+def _margin_at(g: int, k: int, rows: _Rows, index: BoundaryIndex) -> Fraction:
     if index.mu.weight != k:
         raise InputError(f"mu = {index.mu} is not a partition of k = {k}")
-    b = 2 * g + 2 * k - 2
-    a, c = _margin_terms(_class_terms(k), index.mu.parts, s, coarse)[:2]
-    return a * Fraction(index.i * (b - index.i), b - 1) + c
+    (margin,) = _row_values(2 * g + 2 * k - 2, rows, (index.key,))
+    return margin
 
 
 def stack_inequality_lhs(g: int, k: int, s: Fraction, index: BoundaryIndex) -> Fraction:
     """Exact stack margin at one boundary index for a slope-s divisor."""
-    return _margin_at(g, k, _check_slope(s), index, coarse=False)
+    return _margin_at(g, k, _margin_rows(k, _check_slope(s), coarse=False), index)
 
 
 def coarse_inequality_lhs(g: int, k: int, index: BoundaryIndex) -> Fraction:
     """Exact coarse margin at one boundary index, in the slope-8 limit."""
-    return _margin_at(g, k, _COARSE_SLOPE, index, coarse=True)
+    return _margin_at(g, k, _coarse_rows(k), index)
 
 
 @dataclass(frozen=True)
@@ -242,7 +215,43 @@ def no_divisor_certificate(g: int, k: int, mode: str) -> BignessCertificate:
     return BignessCertificate(g, k, mode, None, (), None, (), VERDICT_NO_DIVISOR)
 
 
-def _check_recipe(g: int, k: int, recipe: DivisorRecipe) -> None:
+def _margins(
+    g: int, k: int, indices: list[BoundaryIndex], rows: _Rows, coarse: bool
+) -> tuple[IndexMargin, ...]:
+    """The certificate listing: every index with its margin, sigma, sharp flag and note.
+
+    A coarse margin with c = 0 is zero on its whole partition and is absorbed
+    by the ample term.  The sigma, sharp flag and note of a partition are
+    shared by its entries.
+    """
+    shared = {
+        mu: (Fraction(sigma), sharp, _ABSORBED_NOTE if coarse and c == 0 else "")
+        for mu, (a, c, sigma, sharp) in rows.items()
+    }
+    margins = _row_values(2 * g + 2 * k - 2, rows, (index.key for index in indices))
+    return tuple(
+        IndexMargin(index, margin, *shared[index.mu.parts])
+        for index, margin in zip(indices, margins)
+    )
+
+
+def coarse_range_ok(g: int, k: int) -> bool:
+    """The coarse argument needs 3 <= k <= (g + 2)/2."""
+    return 3 <= k and 2 * k <= g + 2
+
+
+def _check_cell(g: int, k: int, recipe: DivisorRecipe, coarse: bool) -> Fraction:
+    """The slope of `recipe` once the cell (g, k) and the recipe pass the checks of a certificate.
+
+    InputError for a bad (g, k), a recipe of another genus or a slope not in
+    (0, 8]; HypothesisError for a coarse cell out of range, a slope of 8 or a
+    recipe that does not serve k.
+    """
+    _check_gk(g, k)
+    if coarse and not coarse_range_ok(g, k):
+        raise HypothesisError(
+            f"the coarse argument needs 3 <= k <= (g + 2)/2, got (g, k) = ({g}, {k})"
+        )
     if recipe.g != g:
         raise InputError(f"the recipe is for genus {recipe.g}, not {g}")
     if recipe.slope >= 8:
@@ -252,71 +261,29 @@ def _check_recipe(g: int, k: int, recipe: DivisorRecipe) -> None:
             f"the {recipe.name} recipe does not serve k = {k} "
             f"(avoided gonality: {recipe.avoided_gonality})"
         )
-
-
-def _margins(
-    g: int, k: int, indices: list[BoundaryIndex], margin_rows: dict[tuple[int, ...], tuple]
-) -> tuple[tuple[IndexMargin, ...], Fraction]:
-    """Every margin of one mode and alpha, the least margin / kappa1 ratio.
-
-    With x = i(b-i), the margin at an index of a partition is (p x + r)/d
-    and the kappa1 pullback is (kp x + kr)/kd, integers from `_affine`.
-    kappa1 is positive at every index, so the alpha ratio
-    (p x + r) kd / (d (kp x + kr)) has a positive denominator; ratios
-    compare by cross-multiplication and alpha becomes one Fraction at the end.
-    """
-    b = 2 * g + 2 * k - 2
-    rows: dict[tuple[int, ...], tuple] = {}
-    for parts, (a, c, kappa1, bound, sharp, note) in margin_rows.items():
-        p, r, d = _affine(a, c, b)
-        kp, kr, kd = _affine(*kappa1, b)
-        # a row with a = 0 reuses the one margin Fraction of its partition
-        rows[parts] = (p, r, d, kd, d * kp, d * kr, None if a else c, bound, sharp, note)
-    entries: list[IndexMargin] = []
-    best_num = best_den = None
-    for index in indices:
-        p, r, d, kd, dkp, dkr, constant, bound, sharp, note = rows[index.mu.parts]
-        x = index.i * (b - index.i)
-        num = p * x + r
-        ratio_num, ratio_den = num * kd, dkp * x + dkr
-        if best_num is None or ratio_num * best_den < best_num * ratio_den:
-            best_num, best_den = ratio_num, ratio_den
-        margin = constant if constant is not None else Fraction(num, d)
-        entries.append(IndexMargin(index, margin, bound, sharp, note))
-    alpha = Fraction(0) if best_num is None else Fraction(best_num, best_den)
-    return tuple(entries), alpha
-
-
-def coarse_range_ok(g: int, k: int) -> bool:
-    """The coarse argument needs 3 <= k <= (g + 2)/2."""
-    return 3 <= k and 2 * k <= g + 2
+    return _check_slope(recipe.slope)
 
 
 def _verify(g: int, k: int, recipe: DivisorRecipe, mode: str) -> BignessCertificate:
-    indices = boundary_index_set(g, k)  # validates g, k
     coarse = mode == MODE_COARSE
-    if coarse and not coarse_range_ok(g, k):
-        raise HypothesisError(
-            f"the coarse argument needs 3 <= k <= (g + 2)/2, got (g, k) = ({g}, {k})"
-        )
-    _check_recipe(g, k, recipe)
-    s = _check_slope(recipe.slope)
+    s = _check_cell(g, k, recipe, coarse)
+    indices = boundary_index_set(g, k)
     rows = _coarse_rows(k) if coarse else _margin_rows(k, s, coarse=False)
-    entries, alpha = _margins(g, k, indices, rows)
+    # Each alpha ratio has the sign of its margin, so alpha has the sign of
+    # the least margin and the verdict reads alpha alone.
+    alpha = _least_margin(g, k, rows, _class_terms(k)["kappa1"])
     notes = (_BOUNDS_NOTE, _DIRECT_MARGIN_NOTE, _FEASIBILITY_NOTE)
     if coarse:
         finite = (
             f"the cover-to-curve map is generically finite onto the {k}-gonal locus (assumed)"
         )
         notes = (finite,) + notes + (_COARSE_LIMIT_NOTE,)
-    # Each alpha ratio has the sign of its margin, so alpha has the sign of
-    # the least margin and the verdict reads alpha alone.
     return BignessCertificate(
         g=g,
         k=k,
         mode=mode,
         slope_used=s,
-        per_index=entries,
+        per_index=_margins(g, k, indices, rows, coarse),
         alpha=alpha,
         hypotheses=recipe.hypotheses
         + _avoidance_hypotheses(recipe.avoided_gonality, k)[1:]
@@ -359,49 +326,51 @@ class ScanTable:
         return sum(1 for row in self.rows if row.coarse_verdict == VERDICT_CERTIFIED)
 
 
-def _least_margin(g: int, k: int, rows: dict[tuple[int, ...], tuple]) -> Fraction:
-    """The least margin of one mode over the boundary indices of (g, k).
+def _least_margin(g: int, k: int, rows: _Rows, over: _Rows | None = None) -> Fraction:
+    """The least margin over the boundary indices of (g, k), or the least margin/over ratio.
 
-    `rows[mu]` starts with the (a, c) of the margin on partition mu.
-    Endpoint rule: on a partition mu the margin is a q + c with
-    q = i(b-i)/(b-1), which increases on [2, b/2], and a >= 0 (a = m(1 - s/8)
-    in the stack mode with s < 8, a = 0 in the coarse slope-8 limit).  So the
-    least margin of mu is at its smallest feasible index i0
-    (`hurwitz._first_index`).  Every partition has this index, since
-    i0 <= max(k - 1, 3) < b/2 for g >= 2.  This evaluates one margin per
-    partition, O(p(k)), where the certificate lists all O(b p(k)) of them.
+    `rows[mu]` and `over[mu]` start with the (a, c) of a function a q + c of
+    q = i(b-i)/(b-1) on the indices of partition mu.  `over` is the kappa1
+    row for alpha; without it the denominator is the constant 1.
+    Endpoint rule: the indices of mu are i0, i0 + 2, ..., imax <= b/2
+    (`hurwitz._first_index` gives i0), and q increases along them.  The
+    denominator a' q + c' is positive there (kappa1 = m(q - 1) and q > 1 for
+    i >= 2), so the ratio (a q + c)/(a' q + c') is monotone in q, with the
+    sign of a c' - c a'.  Its least value is at i0 when a c' - c a' >= 0 and
+    at imax otherwise.  Every partition has an index, since
+    i0 <= max(k - 1, 3) < b/2 for g >= 2.  This evaluates exactly one index
+    per partition, O(p(k)), where the certificate lists all O(b p(k)) of them.
     """
     b = 2 * g + 2 * k - 2
-    best_num = best_den = None
+    keys = []
     for row in partition_table(k):
+        (a, c), (a1, c1) = rows[row.mu.parts][:2], over[row.mu.parts] if over else (0, 1)
         i = _first_index(row.drop)
-        a, c = rows[row.mu.parts][:2]
-        if a < 0:
-            raise InvariantError(f"the margin of mu = {row.mu} decreases in q (a = {a})")
-        p, r, d = _affine(a, c, b)
-        num = p * i * (b - i) + r
-        if best_num is None or num * best_den < best_num * d:
-            best_num, best_den = num, d
-    return Fraction(best_num, best_den)
+        # a c' - c a' < 0, times the positive denominators of a and c
+        if a.numerator * c.denominator * c1 < c.numerator * a.denominator * a1:
+            i = b // 2 - (b // 2 - i) % 2
+        keys.append((i, row.mu.parts))
+    margins = _row_values(b, rows, keys)
+    if over is None:
+        return min(margins)
+    return min(margin / value for margin, value in zip(margins, _row_values(b, over, keys)))
 
 
 def _scan_cell(g: int, k: int, recipe: DivisorRecipe | None) -> ScanRow:
     """The scan row of one cell from its least margins; no certificate is built.
 
-    The checks are those of `_verify`.  Each alpha ratio has the sign of its
-    margin, so a verdict read from the least margin is the certificate's.
+    The checks are those of `_verify` (`_check_cell`).  Each alpha ratio has
+    the sign of its margin, so a verdict read from the least margin is the
+    certificate's.
     """
-    _check_gk(g, k)
     coarse = coarse_range_ok(g, k)
     if recipe is None:
+        _check_gk(g, k)
         verdict = no_divisor_certificate(g, k, MODE_STACK).verdict
         coarse_verdict = verdict if coarse else SCAN_COARSE_OUT_OF_RANGE
         return ScanRow(g, k, SCAN_NO_RECIPE, None, verdict, coarse_verdict, None)
-    _check_recipe(g, k, recipe)
-    s = _check_slope(recipe.slope)
-    table = _class_terms(k)
-    stack_terms = {mu: _margin_terms(table, mu, s, coarse=False) for mu in table["stack"]}
-    lowest = _least_margin(g, k, stack_terms)
+    s = _check_cell(g, k, recipe, coarse=False)
+    lowest = _least_margin(g, k, _margin_rows(k, s, coarse=False))
     coarse_verdict = SCAN_COARSE_OUT_OF_RANGE
     if coarse:
         coarse_verdict = _verdict(MODE_COARSE, _least_margin(g, k, _coarse_rows(k)))

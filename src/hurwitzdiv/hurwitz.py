@@ -36,7 +36,7 @@ branch-component marker.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -220,32 +220,34 @@ def _class_terms(k: int) -> dict[str, dict[tuple[int, ...], tuple[Rational, Rati
     return table
 
 
-def _affine(a: Rational, c: Rational, b: int) -> tuple[int, int, int]:
-    """Integers (P, R, D) with a q + c = (P i(b-i) + R) / D for q = i(b-i)/(b-1)."""
-    return (
-        a.numerator * c.denominator,
-        c.numerator * a.denominator * (b - 1),
-        a.denominator * c.denominator * (b - 1),
-    )
+def _row_values(b: int, rows: dict, keys: Iterable[IndexKey]) -> Iterator[Fraction]:
+    """The value a q + c of the row of mu at each key (i, mu), q = i(b-i)/(b-1).
+
+    `rows[mu]` starts with (a, c).  This is the one place where a row becomes
+    a value: the class tables here and the margins of :mod:`.bigness` read
+    it.  Each row becomes integers (P, R, D) with a q + c = (P i(b-i) + R) / D,
+    and a partition with a = 0 shares one Fraction among its keys.  Nothing
+    is stored per key.
+    """
+    kernels = {
+        mu: (
+            a.numerator * c.denominator,
+            c.numerator * a.denominator * (b - 1),
+            a.denominator * c.denominator * (b - 1),
+            None if a else Fraction(c),
+        )
+        for mu, (a, c, *_) in rows.items()
+    }
+    for i, parts in keys:
+        p, r, d, constant = kernels[parts]
+        yield constant if constant is not None else Fraction(p * i * (b - i) + r, d)
 
 
 def _expand(g: int, k: int, name: str) -> dict[IndexKey, Fraction]:
-    """The coefficients of one row of the table at every boundary index.
-
-    The keys are those of the cached index positions, and a partition with
-    a = 0 shares one Fraction among its indices.
-    """
+    """The coefficients of one row of the table at every boundary index, in index order."""
     b = _check_gk(g, k)
-    rows = {
-        mu: (*_affine(a, c, b), None if a else Fraction(c))
-        for mu, (a, c) in _class_terms(k)[name].items()
-    }
-    coeffs: dict[IndexKey, Fraction] = {}
-    for key in _index_positions(g, k):
-        i, parts = key
-        p, r, d, constant = rows[parts]
-        coeffs[key] = constant if constant is not None else Fraction(p * i * (b - i) + r, d)
-    return coeffs
+    keys = _index_positions(g, k)
+    return dict(zip(keys, _row_values(b, _class_terms(k)[name], keys)))
 
 
 def hodge_class(g: int, k: int) -> HurwitzClass:

@@ -12,7 +12,6 @@ from hurwitzdiv import (
     BoundaryIndex,
     HypothesisError,
     InputError,
-    InvariantError,
     Partition,
     ScanRow,
     best_recipe,
@@ -23,7 +22,6 @@ from hurwitzdiv import (
     kappa1_m0b,
     scan,
     second_hilbert_divisor,
-    sigma_delta_lower_bound,
     stack_inequality_lhs,
     syzygy_divisor_g7,
     user_divisor,
@@ -36,6 +34,7 @@ from hurwitzdiv.bigness import (
     _coarse_rows,
     _least_margin,
     _margin_rows,
+    _sigma_rule,
     _verdict,
 )
 
@@ -48,17 +47,12 @@ def _index(i, parts):
 
 
 def test_sigma_delta_lower_bounds():
-    assert sigma_delta_lower_bound(_index(2, (1, 1, 1))).bound == 2
-    assert sigma_delta_lower_bound(_index(2, (1, 1, 1))).justification == "TwoNodes"
-    assert sigma_delta_lower_bound(_index(3, (2, 1, 1))).bound == 1
-    assert sigma_delta_lower_bound(_index(3, (2, 1, 1))).justification == "OneNode"
-    branch = sigma_delta_lower_bound(_index(3, (2, 1, 1)), branch_component=True)
-    assert branch.bound == 2
-    assert branch.justification == "BranchComponentTwoNodes"
-    assert sigma_delta_lower_bound(_index(2, (2, 2, 1))).bound == 0
-    assert sigma_delta_lower_bound(_index(2, (2, 2, 1))).justification == "None"
+    assert _sigma_rule((1, 1, 1), False) == 2
+    assert _sigma_rule((2, 1, 1), False) == 1
+    assert _sigma_rule((2, 1, 1), True) == 2
+    assert _sigma_rule((2, 2, 1), False) == 0
     # the unramified bound does not depend on the branch context
-    assert sigma_delta_lower_bound(_index(2, (1, 1, 1)), branch_component=True).bound == 2
+    assert _sigma_rule((1, 1, 1), True) == 2
 
 
 def test_stack_lhs_unramified_at_slope_eight_vanishes():
@@ -303,10 +297,38 @@ def test_least_margin_is_the_least_certificate_margin():
             assert _verdict(mode, least) == cert.verdict, (g, k, mode)
 
 
-def test_least_margin_needs_margins_nondecreasing_in_q():
-    # above slope 8 a margin decreases in q and its least value is not at i0
-    with pytest.raises(InvariantError):
-        _least_margin(10, 4, _margin_rows(4, F(9), coarse=False))
+def _brute_force_least(g, k, rows, over=None):
+    """The least (a q + c)/(a' q + c') over every boundary index, each from its own q."""
+    b = 2 * g + 2 * k - 2
+    ratios = []
+    for index in boundary_index_set(g, k):
+        q = F(index.i * (b - index.i), b - 1)
+        a, c = rows[index.mu.parts][:2]
+        a1, c1 = over[index.mu.parts] if over else (0, 1)
+        ratios.append((a * q + c) / (a1 * q + c1))
+    return min(ratios)
+
+
+def test_least_margin_reads_the_last_index_of_a_decreasing_margin():
+    # above slope 8 every stack margin decreases in q (a < 0), so its least
+    # value is at the last index of its partition, not at the first
+    for g, k in ((2, 3), (10, 4), (31, 6)):
+        rows = _margin_rows(k, F(9), coarse=False)
+        assert all(a < 0 for a, *_ in rows.values())
+        assert _least_margin(g, k, rows) == _brute_force_least(g, k, rows), (g, k)
+
+
+def test_alpha_is_the_least_ratio_at_the_partition_endpoints():
+    for g in (200, 1000):
+        for k in range(3, 11):
+            kappa1 = bigness._class_terms(k)["kappa1"]
+            recipe = best_recipe(g, k) or user_divisor(g, F(54, 7), k)
+            modes = [_margin_rows(k, recipe.slope, coarse=False)]
+            if coarse_range_ok(g, k):
+                modes.append(_coarse_rows(k))
+            for rows in modes:
+                alpha = _least_margin(g, k, rows, kappa1)
+                assert alpha == _brute_force_least(g, k, rows, kappa1), (g, k)
 
 
 def test_scan_builds_no_index_set_or_margin_listing(monkeypatch):
