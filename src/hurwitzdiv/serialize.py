@@ -56,7 +56,9 @@ def rational_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-_RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?")
+# ASCII digits only: \d and int() also take other scripts' digits and "_"
+_RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_PART_PATTERN = re.compile(r"\s*[0-9]+\s*")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -71,7 +73,7 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"not a rational number (expected p or p/q): {text!r}")
     try:
         return Fraction(text)
-    except ZeroDivisionError as exc:
+    except (ZeroDivisionError, ValueError) as exc:  # ValueError: past int's digit limit
         raise InputError(f"not a rational number: {text!r}") from exc
 
 
@@ -120,12 +122,14 @@ def write_envelope(argv: list[str], value, payload: dict, write: Callable[[str],
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse a comma-separated part list such as "2,1,1"; an empty field is an error."""
-    try:
-        parts = [int(piece) for piece in text.split(",")]
-    except ValueError as exc:
-        raise InputError(f"not a partition: {text!r}") from exc
-    return Partition.of(parts)
+    """Parse comma-separated ASCII-digit parts such as "2,1,1"; an empty field is an error."""
+    pieces = text.split(",")
+    if all(_PART_PATTERN.fullmatch(piece) for piece in pieces):
+        try:
+            return Partition.of(int(piece) for piece in pieces)
+        except ValueError:  # a part past int's digit limit
+            pass
+    raise InputError(f"not a partition: {text!r}")
 
 
 def _decoder(decode):

@@ -74,6 +74,10 @@ def test_rational_strings_are_canonical():
         parse_rational("3.5")
     with pytest.raises(InputError):
         parse_rational("1/0")
+    # ASCII digits only: Arabic-Indic and fullwidth digits and "_" are rejected
+    for text in ("\u0663/\u0664", "\uff13", "1_0", "1/1_0", "\u0663", "9" * 5000):
+        with pytest.raises(InputError):
+            parse_rational(text)
 
 
 def test_parse_partition():
@@ -86,6 +90,26 @@ def test_parse_partition():
     for text in ("3,,1", "3,1,", ",3", " "):
         with pytest.raises(InputError):
             parse_partition(text)
+    assert parse_partition(" 2, 1").parts == (2, 1)
+    for text in ("1_0", "\u0663", "\uff13,1", "+3", "-3", "0", "9" * 5000):
+        with pytest.raises(InputError):
+            parse_partition(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_parsers_return_a_value_or_raise_input_error(text):
+    for parse in (parse_rational, parse_partition):
+        try:
+            parse(text)
+        except InputError:
+            pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions())
+def test_parse_rational_reads_rational_str(value):
+    assert parse_rational(rational_str(value)) == value
 
 
 def test_divisor_class_round_trip():
