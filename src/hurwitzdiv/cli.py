@@ -12,8 +12,8 @@ oracle    count transposition factorizations and compare with the
           feasibility criterion
 
 Exit codes: 0 success / Certified, 1 verification failure or no divisor
-available, 2 usage or hypothesis error, 3 I/O error (a closed stdout
-included), 4 internal invariant violated (a bug; stdout may hold part of a
+available, 2 usage or hypothesis error, 3 I/O error (a closed or full
+stdout included), 4 internal invariant violated (a bug; stdout may hold part of a
 document).  Each error writes one line to stderr.  Output formats: json
 (default; deterministic, key-sorted envelope, streamed in chunks once its
 payload is built), csv, text.  Rationals are
@@ -28,6 +28,8 @@ hands each command's value to its three renderers in :mod:`.serialize`.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 
@@ -296,12 +298,19 @@ _RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
+    printed = io.StringIO()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        code = _RUNNERS[args.command](args, argv)
+        try:
+            # argparse ignores an error writing --help or --version, so their
+            # text is written here, where one is reported
+            with contextlib.redirect_stdout(printed):
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            if printed.tell():  # a usage error prints to stderr only
+                sys.stdout.write(printed.getvalue())
+            code = int(exc.code or 0)
+        else:
+            code = _RUNNERS[args.command](args, argv)
         # a closed stdout may show only when the last buffered chunk goes out
         sys.stdout.flush()
         return code
@@ -311,11 +320,8 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         sys.stderr.write(f"invariant error: {exc}\n")
         return 4
-    except BrokenPipeError as exc:
-        _discard_stdout()
-        sys.stderr.write(f"i/o error: {exc}\n")
-        return 3
     except OSError as exc:
+        _discard_stdout()
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3
 

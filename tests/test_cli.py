@@ -201,6 +201,14 @@ def test_oracle_rejects_an_empty_part(capsys):
     assert "not a partition" in err
 
 
+def test_oracle_reads_ascii_digits_only(capsys):
+    # int() would read "1_0" as 10 and a fullwidth digit as 3
+    for mu, k in (("1_0", "10"), ("\uff13", "3")):
+        code, out, err = run_cli(capsys, ["oracle", "--k", k, "--mu", mu, "--i", "9"])
+        assert (code, out) == (2, "")
+        assert "not a partition" in err
+
+
 def test_max_k_environment_cap(capsys, monkeypatch):
     monkeypatch.setenv("HURWITZ_MAX_K", "3")
     code, _, err = run_cli(capsys, ["oracle", "--k", "5", "--mu", "5", "--i", "2"])
@@ -273,6 +281,48 @@ def test_closed_stdout_exits_three_with_one_line(args, lines_read):
         assert proc.wait(timeout=60) == 3
     assert len(err.splitlines()) == 1 and err.startswith("i/o error:"), err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+_NO_FULL_DEVICE = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+def _run_into_full_device(args, env):
+    with open("/dev/full", "w") as full:
+        return subprocess.run(
+            [sys.executable, "-m", "hurwitzdiv.cli", *args],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+
+
+@_NO_FULL_DEVICE
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "args",
+    [["--help"], ["--version"], ["verify", "--help"], ["oracle", "--k", "3", "--mu", "3", "--i", "2"]],
+)
+def test_full_stdout_exits_three_with_one_line(args, unbuffered):
+    # argparse drops a failed write of --help or --version; main reports it
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = _run_into_full_device(args, env)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("i/o error:"), proc.stderr
+
+
+@_NO_FULL_DEVICE
+def test_usage_error_with_full_stdout_exits_two():
+    env = dict(_cli_env(), PYTHONUNBUFFERED="1")
+    proc = _run_into_full_device(["verify", "--bogus"], env)
+    assert proc.returncode == 2
+    assert "hurwitzdiv verify: error:" in proc.stderr
+
+
+def test_help_and_version_print_to_stdout(capsys):
+    assert run_cli(capsys, ["--version"])[:2] == (0, f"hurwitzdiv {hurwitzdiv.__version__}\n")
+    code, out, err = run_cli(capsys, ["--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: hurwitzdiv")
 
 
 # The last certificate row carries a float, which has no canonical encoding,
