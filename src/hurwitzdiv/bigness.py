@@ -45,6 +45,7 @@ from .hurwitz import (
     _class_terms,
     _first_index,
     _row_values,
+    boundary_index,
     boundary_index_set,
 )
 from .lowslope import DivisorRecipe, _avoidance_hypotheses, genus_recipe, recipe_for_degree
@@ -132,8 +133,7 @@ def _check_slope(s: Fraction) -> Fraction:
 
 
 def _margin_at(g: int, k: int, rows: _Rows, index: BoundaryIndex) -> Fraction:
-    if index.mu.weight != k:
-        raise InputError(f"mu = {index.mu} is not a partition of k = {k}")
+    boundary_index(g, k, index.i, index.mu.parts)  # InputError unless an index of (g, k)
     (margin,) = _row_values(2 * g + 2 * k - 2, rows, (index.key,))
     return margin
 
@@ -335,11 +335,12 @@ def _least_margin(g: int, k: int, rows: _Rows, over: _Rows | None = None) -> Fra
     Endpoint rule: the indices of mu are i0, i0 + 2, ..., imax <= b/2
     (`hurwitz._first_index` gives i0), and q increases along them.  The
     denominator a' q + c' is positive there (kappa1 = m(q - 1) and q > 1 for
-    i >= 2), so the ratio (a q + c)/(a' q + c') is monotone in q, with the
-    sign of a c' - c a'.  Its least value is at i0 when a c' - c a' >= 0 and
-    at imax otherwise.  Every partition has an index, since
-    i0 <= max(k - 1, 3) < b/2 for g >= 2.  This evaluates exactly one index
-    per partition, O(p(k)), where the certificate lists all O(b p(k)) of them.
+    i >= 2), so the ratio (a q + c)/(a' q + c') is monotone in q: its
+    derivative has the sign of a c' - c a'.  So its least value is at i0
+    when a c' - c a' >= 0 and at imax otherwise.  Every partition has an
+    index, since i0 <= max(k - 1, 3) < b/2 for g >= 2.  This evaluates
+    exactly one index per partition, O(p(k)), where the certificate lists
+    all O(b p(k)) of them.
     """
     b = 2 * g + 2 * k - 2
     keys = []
@@ -354,6 +355,15 @@ def _least_margin(g: int, k: int, rows: _Rows, over: _Rows | None = None) -> Fra
     if over is None:
         return min(margins)
     return min(margin / value for margin, value in zip(margins, _row_values(b, over, keys)))
+
+
+@lru_cache(maxsize=16)
+def _coarse_verdict(k: int) -> str:
+    """The coarse verdict of every cell of degree k in range, read at its least g, 2k - 2.
+
+    Coarse margins depend on mu alone, so every g in range gives this verdict.
+    """
+    return _verdict(MODE_COARSE, _least_margin(2 * k - 2, k, _coarse_rows(k)))
 
 
 def _scan_cell(g: int, k: int, recipe: DivisorRecipe | None) -> ScanRow:
@@ -371,9 +381,7 @@ def _scan_cell(g: int, k: int, recipe: DivisorRecipe | None) -> ScanRow:
         return ScanRow(g, k, SCAN_NO_RECIPE, None, verdict, coarse_verdict, None)
     s = _check_cell(g, k, recipe, coarse=False)
     lowest = _least_margin(g, k, _margin_rows(k, s, coarse=False))
-    coarse_verdict = SCAN_COARSE_OUT_OF_RANGE
-    if coarse:
-        coarse_verdict = _verdict(MODE_COARSE, _least_margin(g, k, _coarse_rows(k)))
+    coarse_verdict = _coarse_verdict(k) if coarse else SCAN_COARSE_OUT_OF_RANGE
     return ScanRow(g, k, recipe.name, s, _verdict(MODE_STACK, lowest), coarse_verdict, lowest)
 
 

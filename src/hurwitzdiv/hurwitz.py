@@ -225,21 +225,23 @@ def _row_values(b: int, rows: dict, keys: Iterable[IndexKey]) -> Iterator[Fracti
 
     `rows[mu]` starts with (a, c).  This is the one place where a row becomes
     a value: the class tables here and the margins of :mod:`.bigness` read
-    it.  Each row becomes integers (P, R, D) with a q + c = (P i(b-i) + R) / D,
-    and a partition with a = 0 shares one Fraction among its keys.  Nothing
-    is stored per key.
+    it.  On first use a row becomes integers (P, R, D) with
+    a q + c = (P i(b-i) + R) / D, and a partition with a = 0 shares one
+    Fraction among its keys.  Nothing is stored per key.
     """
-    kernels = {
-        mu: (
-            a.numerator * c.denominator,
-            c.numerator * a.denominator * (b - 1),
-            a.denominator * c.denominator * (b - 1),
-            None if a else Fraction(c),
-        )
-        for mu, (a, c, *_) in rows.items()
-    }
+    kernels: dict = {}
     for i, parts in keys:
-        p, r, d, constant = kernels[parts]
+        kernel = kernels.get(parts)
+        if kernel is None:
+            row = rows[parts]
+            (an, ad), (cn, cd) = row[0].as_integer_ratio(), row[1].as_integer_ratio()
+            kernel = kernels[parts] = (
+                an * cd,
+                cn * ad * (b - 1),
+                ad * cd * (b - 1),
+                None if an else Fraction(cn, cd),
+            )
+        p, r, d, constant = kernel
         yield constant if constant is not None else Fraction(p * i * (b - i) + r, d)
 
 

@@ -103,6 +103,16 @@ def test_stack_lhs_slope_bounds():
         stack_inequality_lhs(2, 3, F(9), _index(2, (3,)))
 
 
+def test_margins_reject_an_index_outside_the_index_set():
+    # i past b/2, i of the wrong parity for mu, mu of another weight, g < 2
+    for g, k, index in ((2, 3, _index(99, (3,))), (8, 3, _index(3, (3,))),
+                        (8, 3, _index(2, (2, 2))), (1, 3, _index(2, (3,)))):
+        with pytest.raises(InputError):
+            stack_inequality_lhs(g, k, F(7), index)
+        with pytest.raises(InputError):
+            coarse_inequality_lhs(g, k, index)
+
+
 def test_stack_lhs_monotone_in_slope_for_unramified_indices():
     slopes = [F(6), F(13, 2), F(7), F(15, 2), F(31, 4)]
     for g, k in ((2, 3), (3, 4)):
