@@ -56,9 +56,7 @@ def rational_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-# ASCII digits only: \d and int() also take other scripts' digits and "_"
-_RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-_PART_PATTERN = re.compile(r"\s*[0-9]+\s*")
+_RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -69,7 +67,8 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise InputError(f"a rational number must be the string p or p/q, got {text!r}")
     text = text.strip()
-    if not _RATIONAL_PATTERN.fullmatch(text):
+    # without isascii, \d would also match the digits of other scripts
+    if not (text.isascii() and _RATIONAL_PATTERN.fullmatch(text)):
         raise InputError(f"not a rational number (expected p or p/q): {text!r}")
     try:
         return Fraction(text)
@@ -123,8 +122,9 @@ def write_envelope(argv: list[str], value, payload: dict, write: Callable[[str],
 
 def parse_partition(text: str) -> Partition:
     """Parse comma-separated ASCII-digit parts such as "2,1,1"; an empty field is an error."""
-    pieces = text.split(",")
-    if all(_PART_PATTERN.fullmatch(piece) for piece in pieces):
+    pieces = [piece.strip() for piece in text.split(",")]
+    # int() alone would also read a sign, "_" and the digits of other scripts
+    if all(piece.isascii() and piece.isdigit() for piece in pieces):
         try:
             return Partition.of(int(piece) for piece in pieces)
         except ValueError:  # a part past int's digit limit
