@@ -298,7 +298,12 @@ def _run_into_full_device(args, env):
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize(
     "args",
-    [["--help"], ["--version"], ["verify", "--help"], ["oracle", "--k", "3", "--mu", "3", "--i", "2"]],
+    [
+        ["--help"],
+        ["--version"],
+        ["verify", "--help"],
+        ["oracle", "--k", "3", "--mu", "3", "--i", "2"],
+    ],
 )
 def test_full_stdout_exits_three_with_one_line(args, unbuffered):
     # argparse drops a failed write of --help or --version; main reports it
