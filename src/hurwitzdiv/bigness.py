@@ -100,6 +100,8 @@ def _sigma_rule(parts: tuple[int, ...], branch_component: bool) -> int:
     return 0
 
 
+# stack_inequality_lhs reads one row of these per call
+@lru_cache(maxsize=16)
 def _margin_rows(k: int, s: Fraction, coarse: bool) -> _Rows:
     """{mu: (a, c, sigma, sharp)}: the margin K - s*lambda + sigma is a q + c at the indices of mu.
 
