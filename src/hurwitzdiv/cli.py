@@ -306,7 +306,8 @@ def main(argv: list[str] | None = None) -> int:
             with contextlib.redirect_stdout(printed):
                 args = parser.parse_args(argv)
         except SystemExit as exc:
-            if printed.tell():  # a usage error prints to stderr only
+            # a usage error prints nothing here, and an empty write can fail too
+            if printed.tell():
                 sys.stdout.write(printed.getvalue())
             code = int(exc.code or 0)
         else:
