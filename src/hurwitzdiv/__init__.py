@@ -61,7 +61,6 @@ from .partitions import (
     CycleTypeVector,
     Partition,
     conjugacy_class_size,
-    contains_subpartition,
     count_factorizations_naive,
     count_transposition_factorizations,
     harmonic_inverse,
@@ -106,7 +105,6 @@ __all__ = [
     "partitions_of",
     "lcm_of",
     "harmonic_inverse",
-    "contains_subpartition",
     "transposition_feasible",
     "conjugacy_class_size",
     "transposition_power_vector",

@@ -105,17 +105,13 @@ def _sigma_rule(parts: tuple[int, ...], branch_component: bool) -> int:
 def _margin_rows(k: int, s: Fraction, coarse: bool) -> _Rows:
     """{mu: (a, c, sigma, sharp)}: the margin K - s*lambda + sigma is a q + c at the indices of mu.
 
-    K is the stack canonical class, plus the coarse correction in the coarse
-    mode; sharp is 1 where that correction is -1.
+    K is the stack or the coarse canonical row of the table; sharp is 1 where
+    the coarse row is 1 less than the stack row.
     """
     table = _class_terms(k)
     rows = {}
-    for mu, (ka, kc) in table["stack"].items():
-        (la, lc), sharp = table["hodge"][mu], 0
-        if coarse:
-            ca, cc = table["coarse"][mu]
-            # the coarse correction is -1 exactly at the sharp partitions
-            ka, kc, sharp = ka + ca, kc + cc, -cc
+    for mu, (ka, kc, sharp) in table["coarse" if coarse else "stack"].items():
+        la, lc, _ = table["hodge"][mu]
         sigma = _sigma_rule(mu, bool(sharp))
         rows[mu] = (ka - s * la, kc - s * lc + sigma, sigma, sharp)
     return rows
@@ -347,7 +343,7 @@ def _least_margin(g: int, k: int, rows: _Rows, over: _Rows | None = None) -> Fra
     b = 2 * g + 2 * k - 2
     keys = []
     for row in partition_table(k):
-        (a, c), (a1, c1) = rows[row.mu.parts][:2], over[row.mu.parts] if over else (0, 1)
+        (a, c), (a1, c1) = rows[row.mu.parts][:2], over[row.mu.parts][:2] if over else (0, 1)
         i = _first_index(row.drop)
         # a c' - c a' < 0, times the positive denominators of a and c
         if a.numerator * c.denominator * c1 < c.numerator * a.denominator * a1:

@@ -18,20 +18,20 @@ With m = m(mu) the lcm of the parts and 1/mu the harmonic sum:
     class                      a       c
     Hodge                      m/8     -m (k - 1/mu)/12
     canonical class (stack)    m       -m - 1
+    canonical class (coarse)   m       -m - 1 - sharp(mu)
     ramification               0       m - 1
     coarse correction          0       -sharp(mu)
     kappa1 pullback            m       -m
 
-Each constructor expands its row of the table over the index set.
-``canonical_class_stack`` also checks its expansion against the branch
-pullback of the genus-0 canonical class plus the ramification class on every
-call (``InvariantError`` otherwise).  ``branch_pullback`` pulls any genus-0
-boundary class back along the branch-point map, which is ramified with order
-m(mu) along E_{i:mu}; the kappa1 row, read by the bigness margins, is the
-pullback of kappa1.  The coarse moduli space loses one unit along each
-boundary divisor whose generic cover has a component mapping 2:1 onto the
-degenerate target (mu containing a part 2); those indices carry the
-branch-component marker.
+Each constructor streams its row over the index set in one pass; the kappa1
+row, read by the bigness margins, is the pullback of kappa1.  The coarse
+moduli space loses one unit along each boundary divisor whose generic cover
+has a component mapping 2:1 onto the degenerate target (sharp(mu) = 1: mu has
+a part 2); those indices carry the branch-component marker.  Both canonical
+classes are checked on every call against the branch pullback of the genus-0
+canonical class plus ramification, worked out without the table
+(``InvariantError`` otherwise).  ``branch_pullback`` pulls any genus-0 class
+back along the branch-point map, ramified with order m(mu) along E_{i:mu}.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import InputError, InvariantError
 from .partitions import Partition, partition_table, transposition_feasible
@@ -203,20 +204,24 @@ class HurwitzClass(SparseClass):
 
 
 @lru_cache(maxsize=16)
-def _class_terms(k: int) -> dict[str, dict[tuple[int, ...], tuple[Rational, Rational]]]:
-    """table[class][mu] = (a, c) for every partition mu of k; see the module docstring.
+def _class_terms(k: int) -> dict[str, dict[tuple[int, ...], tuple[Rational, Rational, int]]]:
+    """table[class][mu] = (a, c, sharp) for every partition mu of k; see the module docstring.
 
-    Integral terms stay ints, which have a numerator and a denominator too.
+    sharp is 1 where the row subtracts sharp(mu), 0 elsewhere.  Integral
+    terms stay ints, which have a numerator and a denominator too.
     """
-    table: dict = {"hodge": {}, "stack": {}, "ramification": {}, "coarse": {}, "kappa1": {}}
+    names = ("hodge", "stack", "coarse", "ramification", "correction", "kappa1")
+    table: dict = {name: {} for name in names}
     for row in partition_table(k):
         m, mu = row.lcm, row.mu.parts
-        table["hodge"][mu] = (Fraction(m, 8), -m * (k - row.harmonic) / 12)
-        table["stack"][mu] = (m, -m - 1)
-        table["ramification"][mu] = (0, m - 1)
         # every boundary index has i >= 2, where the sharp rule depends on mu alone
-        table["coarse"][mu] = (0, -sharp_indicator(2, row.mu))
-        table["kappa1"][mu] = (m, -m)
+        sharp = sharp_indicator(2, row.mu)
+        table["hodge"][mu] = (Fraction(m, 8), -m * (k - row.harmonic) / 12, 0)
+        table["stack"][mu] = (m, -m - 1, 0)
+        table["coarse"][mu] = (m, -m - 1 - sharp, sharp)
+        table["ramification"][mu] = (0, m - 1, 0)
+        table["correction"][mu] = (0, -sharp, sharp)
+        table["kappa1"][mu] = (m, -m, 0)
     return table
 
 
@@ -245,16 +250,17 @@ def _row_values(b: int, rows: dict, keys: Iterable[IndexKey]) -> Iterator[Fracti
         yield constant if constant is not None else Fraction(p * i * (b - i) + r, d)
 
 
-def _expand(g: int, k: int, name: str) -> dict[IndexKey, Fraction]:
-    """The coefficients of one row of the table at every boundary index, in index order."""
+def _table_class(g: int, k: int, name: str) -> HurwitzClass:
+    """One row of the table as a class: its nonzero values in index order, sharp keys marked."""
     b = _check_gk(g, k)
-    keys = _index_positions(g, k)
-    return dict(zip(keys, _row_values(b, _class_terms(k)[name], keys)))
+    rows, keys = _class_terms(k)[name], _index_positions(g, k)
+    coeffs = tuple(term for term in zip(keys, _row_values(b, rows, keys)) if term[1])
+    return HurwitzClass(g, k, coeffs, frozenset(key for key, _ in coeffs if rows[key[1]][2]))
 
 
 def hodge_class(g: int, k: int) -> HurwitzClass:
     """The Hodge class in boundary coordinates."""
-    return HurwitzClass.make(g, k, _expand(g, k, "hodge"))
+    return _table_class(g, k, "hodge")
 
 
 def branch_pullback_boundary(g: int, k: int, i: int) -> HurwitzClass:
@@ -265,43 +271,47 @@ def branch_pullback_boundary(g: int, k: int, i: int) -> HurwitzClass:
     return branch_pullback(g, k, DivisorClass.make(space_m0b(b), {f"B_{i}": 1}))
 
 
-def branch_pullback(g: int, k: int, divisor: DivisorClass) -> HurwitzClass:
-    """Pullback of a genus-0 boundary class along the branch-point map."""
+def _pullback_terms(g: int, k: int, divisor: DivisorClass) -> Iterator[tuple]:
+    """(key, m(mu), B_i weight of `divisor`) at every index (i, mu), in index order."""
     b = _check_gk(g, k)
     if divisor.space.kind != KIND_M0B or divisor.space.b != b:
-        raise InputError(
-            f"the class must live on {KIND_M0B}(b={b}) for (g, k) = ({g}, {k}), "
-            f"got {divisor.space}"
-        )
+        raise InputError(f"the class must live on {KIND_M0B}(b={b}) for (g, k) = ({g}, {k}), "
+                         f"got {divisor.space}")
     values = divisor.as_dict()
-    weights = [values.get(f"B_{i}") for i in range(b // 2 + 1)]
+    weights = [values.get(f"B_{i}", 0) for i in range(b // 2 + 1)]
     lcms = {row.mu.parts: row.lcm for row in partition_table(k)}
-    coeffs: dict[IndexKey, Fraction] = {}
-    for key in _index_positions(g, k):
-        i, parts = key
-        c = weights[i]
-        if c:
-            coeffs[key] = c * lcms[parts]
-    return HurwitzClass.make(g, k, coeffs)
+    return ((key, lcms[key[1]], weights[key[0]]) for key in _index_positions(g, k))
+
+
+def branch_pullback(g: int, k: int, divisor: DivisorClass) -> HurwitzClass:
+    """Pullback of a genus-0 boundary class along the branch-point map."""
+    terms = _pullback_terms(g, k, divisor)
+    return HurwitzClass(g, k, tuple((key, m * w) for key, m, w in terms if w))
 
 
 def ramification_class(g: int, k: int) -> HurwitzClass:
     """Ramification divisor of the branch-point map: sum (m(mu) - 1) E_{i:mu}."""
-    return HurwitzClass.make(g, k, _expand(g, k, "ramification"))
+    return _table_class(g, k, "ramification")
+
+
+def _canonical_class(g: int, k: int, name: str) -> HurwitzClass:
+    """The canonical class of table row `name`, checked without the table in one pass.
+
+    At (i, mu) the stack class is m(mu) w_i + m(mu) - 1, with w_i the B_i weight
+    of `canonical_class_m0b(b)`, and the coarse class sharp(mu) less.
+    """
+    cls = _table_class(g, k, name)
+    drops = {r.mu.parts: name == "coarse" and sharp_indicator(2, r.mu) for r in partition_table(k)}
+    terms = _pullback_terms(g, k, canonical_class_m0b(2 * g + 2 * k - 2))
+    expected = ((key, m * w + (m - 1 - drops[key[1]])) for key, m, w in terms)
+    if any(x != y for x, y in zip_longest(cls.coeffs, (term for term in expected if term[1]))):
+        raise InvariantError("canonical class disagrees with pullback + ramification")
+    return cls
 
 
 def canonical_class_stack(g: int, k: int) -> HurwitzClass:
-    """Canonical class of the cover stack in boundary coordinates.
-
-    Checked equal to branch pullback of the genus-0 canonical class plus the
-    ramification class; a mismatch raises InvariantError.
-    """
-    b = _check_gk(g, k)
-    table = HurwitzClass.make(g, k, _expand(g, k, "stack"))
-    pipeline = branch_pullback(g, k, canonical_class_m0b(b)) + ramification_class(g, k)
-    if table != pipeline:
-        raise InvariantError("canonical class disagrees with pullback + ramification")
-    return table
+    """Canonical class of the cover stack in boundary coordinates; see `_canonical_class`."""
+    return _canonical_class(g, k, "stack")
 
 
 def sharp_indicator(i: int, mu: Partition) -> int:
@@ -311,11 +321,9 @@ def sharp_indicator(i: int, mu: Partition) -> int:
 
 def coarse_correction(g: int, k: int) -> HurwitzClass:
     """Stack-to-coarse canonical correction: -1 on each branch-marked index."""
-    coeffs = _expand(g, k, "coarse")
-    marks = {key for key, value in coeffs.items() if value}
-    return HurwitzClass.make(g, k, coeffs, marks)
+    return _table_class(g, k, "correction")
 
 
 def canonical_class_coarse(g: int, k: int) -> HurwitzClass:
-    """Canonical class of the coarse moduli space: stack class plus correction."""
-    return canonical_class_stack(g, k) + coarse_correction(g, k)
+    """Canonical class of the coarse moduli space: the stack class plus the correction."""
+    return _canonical_class(g, k, "coarse")

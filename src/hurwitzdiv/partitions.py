@@ -158,11 +158,6 @@ def partition_table(k: int) -> tuple[PartitionRow, ...]:
     return _partition_table(k)
 
 
-def contains_subpartition(mu: Partition, sub: Partition) -> bool:
-    """True iff the parts of `sub` embed into the parts of mu as a multiset."""
-    return all(mu.multiplicity(r) >= sub.multiplicity(r) for r in set(sub.parts))
-
-
 def transposition_feasible(mu: Partition, i: int) -> bool:
     """Is a permutation of cycle type mu in S_k a product of i transpositions?
 
@@ -323,7 +318,7 @@ def _canonical_permutation(mu: Partition) -> tuple[int, ...]:
     return tuple(image)
 
 
-def count_factorizations_naive(mu: Partition, i: int, max_tuples: int = MAX_NAIVE_TUPLES) -> int:
+def count_factorizations_naive(mu: Partition, i: int) -> int:
     """Tuple-enumeration oracle for tiny symmetric groups.
 
     Walks every i-tuple of transpositions in S_k (k <= 5) and counts the
@@ -342,7 +337,7 @@ def count_factorizations_naive(mu: Partition, i: int, max_tuples: int = MAX_NAIV
             image = list(range(k))
             image[a], image[b] = b, a
             transpositions.append(tuple(image))
-    if len(transpositions) ** i > max_tuples:
+    if len(transpositions) ** i > MAX_NAIVE_TUPLES:
         raise ResourceError(f"{len(transpositions)}^{i} tuples exceed the enumeration budget")
     target = _canonical_permutation(mu)
     identity = tuple(range(k))

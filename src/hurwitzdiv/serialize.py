@@ -44,7 +44,7 @@ from .bigness import (
 from .errors import InputError, InvariantError
 from .hurwitz import HurwitzClass, boundary_index
 from .lowslope import RECIPE_NAMES, DivisorRecipe
-from .partitions import OracleReport, Partition, lcm_of
+from .partitions import OracleReport, Partition, partition_table
 from .pushpull import QuadraticClass
 from .spaces import KIND_M0B, DivisorClass, Space
 
@@ -263,8 +263,9 @@ def hurwitz_class_from_obj(obj: dict) -> HurwitzClass:
 def hurwitz_class_csv(cls: HurwitzClass) -> str:
     # m_mu is the one column that the JSON rows do not carry
     rows = hurwitz_class_to_obj(cls)["coefficients"]
+    lcms = {row.mu.parts: row.lcm for row in partition_table(cls.k)}
     for row in rows:
-        row["m_mu"] = lcm_of(Partition(tuple(row["mu"])))
+        row["m_mu"] = lcms[tuple(row["mu"])]
     return json_rows_csv(["i", "mu", "m_mu", "value"], rows)
 
 

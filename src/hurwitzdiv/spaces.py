@@ -18,10 +18,11 @@ A :class:`DivisorClass` is a sparse map from basis labels to exact rationals
 point enters any computation.
 
 :class:`DivisorClass`, ``pushpull.QuadraticClass`` and ``hurwitz.HurwitzClass``
-share one core: `_ordered_terms` alone turns (key, value) terms into stored
-coefficients, and :class:`SparseClass` holds their arithmetic.  A linear
-operator such as `pseudostable_pullback` yields the terms of its image
-straight into the `make` of the target class.
+share one core: `_ordered_terms` turns the (key, value) terms of `make` into
+stored coefficients, and :class:`SparseClass` holds their arithmetic.  A
+linear operator such as `pseudostable_pullback` yields the terms of its image
+straight into `make`; the cover-space tables, already in index order, call
+the constructor.
 """
 
 from __future__ import annotations

@@ -314,7 +314,7 @@ def _brute_force_least(g, k, rows, over=None):
     for index in boundary_index_set(g, k):
         q = F(index.i * (b - index.i), b - 1)
         a, c = rows[index.mu.parts][:2]
-        a1, c1 = over[index.mu.parts] if over else (0, 1)
+        a1, c1 = over[index.mu.parts][:2] if over else (0, 1)
         ratios.append((a * q + c) / (a1 * q + c1))
     return min(ratios)
 

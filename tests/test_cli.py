@@ -359,10 +359,8 @@ def test_invariant_error_after_partial_output_exits_four():
 
 
 def test_invariant_error_exits_four(capsys, monkeypatch):
-    ramification = hurwitzdiv.hurwitz.ramification_class
-    monkeypatch.setattr(
-        hurwitzdiv.hurwitz, "ramification_class", lambda g, k: ramification(g, k) * 2
-    )
+    canonical = hurwitzdiv.hurwitz.canonical_class_m0b
+    monkeypatch.setattr(hurwitzdiv.hurwitz, "canonical_class_m0b", lambda b: canonical(b) * 2)
     code, out, err = run_cli(capsys, ["classes", "canonical-stack", "--g", "4", "--k", "4"])
     assert (code, out) == (4, "")
     assert err == "invariant error: canonical class disagrees with pullback + ramification\n"

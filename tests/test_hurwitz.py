@@ -224,11 +224,12 @@ import hurwitzdiv.lowslope as lowslope
 from hurwitzdiv import InvariantError
 
 print("optimize", sys.flags.optimize)
-ramification = hurwitz.ramification_class
-hurwitz.ramification_class = lambda g, k: ramification(g, k) * 2
+canonical = hurwitz.canonical_class_m0b
+hurwitz.canonical_class_m0b = lambda b: canonical(b) * 2
 pullback = lowslope.pseudostable_pullback
 lowslope.pseudostable_pullback = lambda divisor: pullback(divisor) * 2
 for name, check in (("canonical", lambda: hurwitz.canonical_class_stack(2, 3)),
+                    ("coarse", lambda: hurwitz.canonical_class_coarse(2, 3)),
                     ("hilbert", lambda: lowslope.second_hilbert_divisor(8))):
     try:
         check()
@@ -255,7 +256,8 @@ def test_invariants_fire_under_optimize():
     assert lines[1] == (
         "canonical raised canonical class disagrees with pullback + ramification"
     )
-    assert lines[2] == (
+    assert lines[2] == "coarse raised canonical class disagrees with pullback + ramification"
+    assert lines[3] == (
         "hilbert raised pseudo-stable pipeline disagrees with the direct expansion"
     )
 
@@ -343,6 +345,28 @@ def test_hurwitz_class_make_orders_keys_by_index():
     reversed_build = HurwitzClass.make(g, k, dict(reversed(list(values.items()))))
     assert reversed_build == in_order
     assert reversed_build.support() == tuple(x.key for x in boundary_index_set(g, k))
+
+
+def test_table_builds_are_canonical():
+    # the tables and branch_pullback call the constructor directly: their
+    # coefficients must be what `make` stores (Fractions, no zeros, index
+    # order) and their marks must lie in the support
+    from hurwitzdiv import canonical_class_m0b
+
+    for g in (2, 3, 7, 20):
+        for k in range(3, 8):
+            b = 2 * g + 2 * k - 2
+            for cls in (
+                hodge_class(g, k),
+                ramification_class(g, k),
+                coarse_correction(g, k),
+                canonical_class_stack(g, k),
+                canonical_class_coarse(g, k),
+                branch_pullback(g, k, canonical_class_m0b(b)),
+                branch_pullback_boundary(g, k, b // 2),
+            ):
+                assert cls == HurwitzClass.make(g, k, dict(cls.coeffs), cls.branch_marks), (g, k)
+                assert all(type(value) is Fraction for _, value in cls.coeffs), (g, k)
 
 
 def test_branch_marks_follow_arithmetic():

@@ -13,7 +13,6 @@ from hurwitzdiv import (
     Partition,
     ResourceError,
     conjugacy_class_size,
-    contains_subpartition,
     count_factorizations_naive,
     count_transposition_factorizations,
     harmonic_inverse,
@@ -143,13 +142,6 @@ def test_harmonic_inverse():
     k, a = 5, 2
     mu = P((2,) * a + (1,) * (k - 2 * a))
     assert harmonic_inverse(mu) == k - Fraction(3 * a, 2) == 2
-
-
-def test_contains_subpartition():
-    assert contains_subpartition(P((2, 2, 1)), P((2, 2)))
-    assert not contains_subpartition(P((2, 1, 1)), P((2, 2)))
-    assert contains_subpartition(P((4, 2, 1)), P((4, 1)))
-    assert contains_subpartition(P((3, 3)), P((3,)))
 
 
 # -- feasibility --------------------------------------------------------------
