@@ -17,7 +17,11 @@ The package computes, with exact rational arithmetic throughout:
   index, for single cells or whole (g, k) scans (:mod:`.bigness`).
 
 All values are immutable and all operations pure; nothing here uses
-floating point.  See the ``demos/`` scripts for narrative walk-throughs and
+floating point.  The records (partitions, boundary indices, classes,
+certificates) are immutable namedtuples: each equals the plain tuple of its
+fields and supports len, iteration and indexing, though no code here relies
+on that.  A field annotation in a record's body takes no value, which would
+hide the field.  See the ``demos/`` scripts for narrative walk-throughs and
 :mod:`.cli` for the command-line surface.
 """
 

@@ -34,7 +34,7 @@ geometric hypotheses the verdict is conditional on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -146,10 +146,10 @@ def coarse_inequality_lhs(g: int, k: int, index: BoundaryIndex) -> Fraction:
     return _margin_at(g, k, _coarse_rows(k), index)
 
 
-@dataclass(frozen=True)
-class IndexMargin:
+class IndexMargin(namedtuple("IndexMargin", "index margin sigma_bound sharp note")):
     """One row of a certificate: the margin and its ingredients at an index."""
 
+    __slots__ = ()
     index: BoundaryIndex
     margin: Fraction
     sigma_bound: Fraction
@@ -157,8 +157,8 @@ class IndexMargin:
     note: str
 
 
-@dataclass(frozen=True)
-class BignessCertificate:
+class BignessCertificate(namedtuple(
+        "BignessCertificate", "g k mode slope_used per_index alpha hypotheses verdict")):
     """Machine-checkable record that the canonical class is big.
 
     `alpha` is the largest rational with K minus the bounded boundary
@@ -169,6 +169,7 @@ class BignessCertificate:
     are None only on a NoDivisor certificate.
     """
 
+    __slots__ = ()
     g: int
     k: int
     mode: str
@@ -300,10 +301,10 @@ def verify_coarse(g: int, k: int, recipe: DivisorRecipe) -> BignessCertificate:
     return _verify(g, k, recipe, MODE_COARSE)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(namedtuple("ScanRow", "g k recipe slope stack_verdict coarse_verdict min_margin")):
     """One (g, k) cell of a scan table."""
 
+    __slots__ = ()
     g: int
     k: int
     recipe: str
@@ -313,8 +314,8 @@ class ScanRow:
     min_margin: Fraction | None
 
 
-@dataclass(frozen=True)
-class ScanTable:
+class ScanTable(namedtuple("ScanTable", "rows")):
+    __slots__ = ()
     rows: tuple[ScanRow, ...]
 
     def certified_stack(self) -> int:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the record-validation hook shared across the package."""
 
 
 class InputError(ValueError):
@@ -15,3 +15,20 @@ class HypothesisError(ValueError):
 
 class InvariantError(RuntimeError):
     """Two independent computations of the same quantity disagree."""
+
+
+class Validated:
+    """Mixin for a namedtuple record: `cls(...)` runs the record's `__post_init__` check.
+
+    Put it first in the bases.  The hook keeps the name a dataclass gives it
+    because profilers wrap it by that name: the benchmark tracer counts
+    `Partition.__post_init__` calls as partition builds.  `_make` and
+    `_replace` bypass `__new__`, so they skip the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self

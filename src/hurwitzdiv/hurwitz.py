@@ -36,8 +36,8 @@ back along the branch-point map, ramified with order m(mu) along E_{i:mu}.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -58,10 +58,10 @@ from .spaces import (
 IndexKey = tuple[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class BoundaryIndex:
+class BoundaryIndex(namedtuple("BoundaryIndex", "i mu")):
     """A feasible boundary label (i, mu); its key (i, mu-parts) names E_{i:mu} in a class."""
 
+    __slots__ = ()
     i: int
     mu: Partition
 
@@ -158,8 +158,8 @@ def _marks_on(coeffs: tuple, marks: Iterable[IndexKey]) -> frozenset[IndexKey]:
     return frozenset(marks).intersection(key for key, _ in coeffs) if marks else frozenset()
 
 
-@dataclass(frozen=True)
-class HurwitzClass(SparseClass):
+class HurwitzClass(SparseClass, namedtuple("HurwitzClass", "g k coeffs branch_marks",
+                                            defaults=(frozenset(),))):
     """Sparse exact-rational class over the boundary basis of a cover space.
 
     `coeffs` maps index keys (i, mu-parts) to nonzero rationals, in the order
@@ -170,10 +170,11 @@ class HurwitzClass(SparseClass):
     multiple those of its class, as far as they fall on the new support.
     """
 
+    __slots__ = ()
     g: int
     k: int
     coeffs: tuple[tuple[IndexKey, Fraction], ...]
-    branch_marks: frozenset[IndexKey] = frozenset()
+    branch_marks: frozenset[IndexKey]
 
     @classmethod
     def make(
@@ -200,7 +201,7 @@ class HurwitzClass(SparseClass):
     def _with_terms(self, terms: Iterable, other: "HurwitzClass | None" = None) -> "HurwitzClass":
         result = super()._with_terms(terms)
         marks = self.branch_marks | other.branch_marks if other is not None else self.branch_marks
-        return replace(result, branch_marks=_marks_on(result.coeffs, marks))
+        return result._replace(branch_marks=_marks_on(result.coeffs, marks))
 
 
 @lru_cache(maxsize=16)
@@ -298,13 +299,15 @@ def _canonical_class(g: int, k: int, name: str) -> HurwitzClass:
     """The canonical class of table row `name`, checked without the table in one pass.
 
     At (i, mu) the stack class is m(mu) w_i + m(mu) - 1, with w_i the B_i weight
-    of `canonical_class_m0b(b)`, and the coarse class sharp(mu) less.
+    of `canonical_class_m0b(b)`, and the coarse class sharp(mu) less.  As
+    W_i = (b - 1) w_i is an integer, (b - 1) times each value is compared in integers.
     """
-    cls = _table_class(g, k, name)
+    cls, b = _table_class(g, k, name), 2 * g + 2 * k - 2
     drops = {r.mu.parts: name == "coarse" and sharp_indicator(2, r.mu) for r in partition_table(k)}
-    terms = _pullback_terms(g, k, canonical_class_m0b(2 * g + 2 * k - 2))
-    expected = ((key, m * w + (m - 1 - drops[key[1]])) for key, m, w in terms)
-    if any(x != y for x, y in zip_longest(cls.coeffs, (term for term in expected if term[1]))):
+    terms = _pullback_terms(g, k, (b - 1) * canonical_class_m0b(b))
+    expected = ((key, m * w.numerator + (m - 1 - drops[key[1]]) * (b - 1)) for key, m, w in terms)
+    pairs = zip_longest(cls.coeffs, (term for term in expected if term[1]), fillvalue=(None,))
+    if any(x[0] != y[0] or x[1].numerator * (b - 1) != y[1] * x[1].denominator for x, y in pairs):
         raise InvariantError("canonical class disagrees with pullback + ramification")
     return cls
 

@@ -27,10 +27,10 @@ which k that divisor serves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, Validated
 from .pushpull import elliptic_tail_pullback, forgetful_pushforward, multiply
 from .spaces import (
     DivisorClass,
@@ -59,8 +59,8 @@ RECIPE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class DivisorRecipe:
+class DivisorRecipe(Validated, namedtuple(
+        "DivisorRecipe", "name g divisor_class slope hypotheses avoided_gonality")):
     """An effective divisor class on the genus-g space plus its provenance.
 
     `hypotheses` lists the geometric inputs (effectivity, gonality-locus
@@ -69,6 +69,7 @@ class DivisorRecipe:
     must contain the avoidance line rendered from it.
     """
 
+    __slots__ = ()
     name: str
     g: int
     divisor_class: DivisorClass

@@ -27,19 +27,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, Validated
 
 MAX_PARTITION_WEIGHT = 64
 MAX_ORACLE_WEIGHT = 20
 MAX_ORACLE_STEPS = 64
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Validated, namedtuple("Partition", "parts")):
     """A weakly decreasing tuple of positive integers.
 
     >>> Partition((3, 2))
@@ -48,6 +47,7 @@ class Partition:
     (5, 2)
     """
 
+    __slots__ = ()
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -130,13 +130,13 @@ def harmonic_inverse(mu: Partition) -> Fraction:
     return sum((Fraction(1, m) for m in mu.parts), Fraction(0))
 
 
-@dataclass(frozen=True)
-class PartitionRow:
+class PartitionRow(namedtuple("PartitionRow", "mu lcm harmonic drop")):
     """A partition of k together with the invariants every class formula reads.
 
     `drop` is k - l(mu), the fewest transpositions with a product of type mu.
     """
 
+    __slots__ = ()
     mu: Partition
     lcm: int
     harmonic: Fraction
@@ -183,14 +183,14 @@ def conjugacy_class_size(mu: Partition) -> int:
     return math.factorial(k) // centralizer
 
 
-@dataclass(frozen=True)
-class CycleTypeVector:
+class CycleTypeVector(namedtuple("CycleTypeVector", "k entries")):
     """Integer-valued state vector over the cycle types of S_k.
 
     Entries are (cycle type, count) pairs in reverse-lexicographic order with
     zero counts dropped; counts are exact arbitrary-precision integers.
     """
 
+    __slots__ = ()
     k: int
     entries: tuple[tuple[Partition, int], ...]
 
@@ -286,10 +286,10 @@ def count_transposition_factorizations(mu: Partition, i: int) -> int:
     return transposition_power_vector(mu.weight, i).count_for(mu)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(namedtuple("OracleReport", "mu i count feasible")):
     """The factorization count of (mu, i) beside the feasibility criterion."""
 
+    __slots__ = ()
     mu: Partition
     i: int
     count: int

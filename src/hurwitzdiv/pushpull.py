@@ -37,8 +37,8 @@ core with the divisor classes.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -58,14 +58,14 @@ from .spaces import (
 PairKey = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class QuadraticClass(SparseClass):
+class QuadraticClass(SparseClass, namedtuple("QuadraticClass", "space coeffs")):
     """Formal symmetric degree-2 combination of divisor generators.
 
     Keys are unordered pairs of basis labels of a one-pointed space, stored
     with the earlier basis label first; values are exact rationals.
     """
 
+    __slots__ = ()
     space: Space
     coeffs: tuple[tuple[PairKey, Fraction], ...]
 

@@ -27,14 +27,14 @@ the constructor.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Hashable, Iterable
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
-from .errors import InputError
+from .errors import InputError, Validated
 
 KIND_M0B = "GenusZeroPointed"
 KIND_MG = "Mg"
@@ -46,13 +46,13 @@ Rational = Fraction | int
 Terms = dict | Iterable[tuple[Hashable, Rational]]
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Validated, namedtuple("Space", "kind g b", defaults=(None, None))):
     """Descriptor of a moduli space together with its divisor basis."""
 
+    __slots__ = ()
     kind: str
-    g: int | None = None
-    b: int | None = None
+    g: int | None
+    b: int | None
 
     def __post_init__(self) -> None:
         if self.kind == KIND_M0B:
@@ -145,17 +145,21 @@ def _ordered_terms(terms: Terms, rank: Callable[[Hashable], object], where: obje
 class SparseClass:
     """Arithmetic shared by the sparse classes.
 
-    A subclass is a frozen dataclass whose `coeffs` field holds (key,
-    Fraction) pairs as `_ordered_terms` returns them, and whose `_basis`
-    returns its space, which `+` must match, and the rank of its keys.  Sums,
-    negatives and multiples go through `_ordered_terms` again, so every key
-    is checked on every build.
+    A subclass lists this class before its namedtuple base, so that `+` and
+    `*` mean these rather than tuple concatenation and repetition.  Its
+    `coeffs` field holds (key, Fraction) pairs as `_ordered_terms` returns
+    them, and its `_basis` returns its space, which `+` must match, and the
+    rank of its keys.  Sums, negatives and multiples go through
+    `_ordered_terms` again, so every key is checked on every build;
+    `_replace` skips `__post_init__`, so a sparse class must not rely on one.
     """
+
+    __slots__ = ()
 
     def _with_terms(self, terms: Iterable, other: "SparseClass | None" = None) -> "SparseClass":
         """A class on the same space with the given terms; `other` is the second summand."""
         where, rank = self._basis()
-        return replace(self, coeffs=_ordered_terms(terms, rank, where))
+        return self._replace(coeffs=_ordered_terms(terms, rank, where))
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
@@ -182,8 +186,7 @@ class SparseClass:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class DivisorClass(SparseClass):
+class DivisorClass(SparseClass, namedtuple("DivisorClass", "space coeffs")):
     """Sparse exact-rational combination of the basis divisors of a space.
 
     `coeffs` is kept in canonical form: pairs sorted by basis position, zero
@@ -191,6 +194,7 @@ class DivisorClass(SparseClass):
     raw constructor.
     """
 
+    __slots__ = ()
     space: Space
     coeffs: tuple[tuple[str, Fraction], ...]
 

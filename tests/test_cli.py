@@ -364,3 +364,14 @@ def test_invariant_error_exits_four(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["classes", "canonical-stack", "--g", "4", "--k", "4"])
     assert (code, out) == (4, "")
     assert err == "invariant error: canonical class disagrees with pullback + ramification\n"
+
+
+def test_startup_loads_neither_dataclasses_nor_inspect():
+    # a subprocess, since pytest itself has imported both
+    script = ("import sys, hurwitzdiv.cli as cli; cli.build_parser(); "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
