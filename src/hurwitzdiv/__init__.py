@@ -18,11 +18,13 @@ The package computes, with exact rational arithmetic throughout:
 
 All values are immutable and all operations pure; nothing here uses
 floating point.  The records (partitions, boundary indices, classes,
-certificates) are immutable namedtuples: each equals the plain tuple of its
-fields and supports len, iteration and indexing, though no code here relies
-on that.  A field annotation in a record's body takes no value, which would
-hide the field.  See the ``demos/`` scripts for narrative walk-throughs and
-:mod:`.cli` for the command-line surface.
+certificates) are immutable namedtuples: each supports len, iteration and
+indexing, though no code here relies on that.  A record equals the plain
+tuple of its fields, except a sparse class (DivisorClass, QuadraticClass,
+HurwitzClass), which equals only a class of its own type.  A field
+annotation in a record's body takes no value, which would hide the field.
+See the ``demos/`` scripts for narrative walk-throughs and :mod:`.cli` for
+the command-line surface.
 """
 
 from .bigness import (

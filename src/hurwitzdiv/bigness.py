@@ -263,7 +263,10 @@ def _check_cell(g: int, k: int, recipe: DivisorRecipe, coarse: bool) -> Fraction
     return _check_slope(recipe.slope)
 
 
-def _verify(g: int, k: int, recipe: DivisorRecipe, mode: str) -> BignessCertificate:
+def _verify(g: int, k: int, recipe: DivisorRecipe | None, mode: str) -> BignessCertificate:
+    if recipe is None:
+        _check_gk(g, k)
+        return no_divisor_certificate(g, k, mode)
     coarse = mode == MODE_COARSE
     s = _check_cell(g, k, recipe, coarse)
     indices = boundary_index_set(g, k)
@@ -291,13 +294,16 @@ def _verify(g: int, k: int, recipe: DivisorRecipe, mode: str) -> BignessCertific
     )
 
 
-def verify_stack(g: int, k: int, recipe: DivisorRecipe) -> BignessCertificate:
-    """Certificate that the canonical class of the cover stack is big."""
+def verify_stack(g: int, k: int, recipe: DivisorRecipe | None) -> BignessCertificate:
+    """Certificate that the canonical class of the cover stack is big; NoDivisor with no recipe."""
     return _verify(g, k, recipe, MODE_STACK)
 
 
-def verify_coarse(g: int, k: int, recipe: DivisorRecipe) -> BignessCertificate:
-    """Certificate that the canonical class of the coarse space is big."""
+def verify_coarse(g: int, k: int, recipe: DivisorRecipe | None) -> BignessCertificate:
+    """Certificate that the canonical class of the coarse space is big.
+
+    With no recipe it is the NoDivisor certificate, also out of coarse range.
+    """
     return _verify(g, k, recipe, MODE_COARSE)
 
 
@@ -375,9 +381,8 @@ def _scan_cell(g: int, k: int, recipe: DivisorRecipe | None) -> ScanRow:
     coarse = coarse_range_ok(g, k)
     if recipe is None:
         _check_gk(g, k)
-        verdict = no_divisor_certificate(g, k, MODE_STACK).verdict
-        coarse_verdict = verdict if coarse else SCAN_COARSE_OUT_OF_RANGE
-        return ScanRow(g, k, SCAN_NO_RECIPE, None, verdict, coarse_verdict, None)
+        coarse_verdict = VERDICT_NO_DIVISOR if coarse else SCAN_COARSE_OUT_OF_RANGE
+        return ScanRow(g, k, SCAN_NO_RECIPE, None, VERDICT_NO_DIVISOR, coarse_verdict, None)
     s = _check_cell(g, k, recipe, coarse=False)
     lowest = _least_margin(g, k, _margin_rows(k, s, coarse=False))
     coarse_verdict = _coarse_verdict(k) if coarse else SCAN_COARSE_OUT_OF_RANGE
@@ -406,6 +411,6 @@ def scan(k_min: int, k_max: int, g_min: int, g_max: int) -> ScanTable:
     for g in range(g_min, g_max + 1):
         for k in range(k_min, k_max + 1):
             if g not in genus_recipes:
-                genus_recipes[g] = genus_recipe(g) if g >= 4 else None
+                genus_recipes[g] = genus_recipe(g)
             rows.append(_scan_cell(g, k, recipe_for_degree(genus_recipes[g], k)))
     return ScanTable(tuple(rows))

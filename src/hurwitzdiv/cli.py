@@ -22,7 +22,8 @@ environment variable HURWITZ_MAX_K (default 10) caps k as a resource guard
 on the partition lattice.
 
 This module builds no payload: it parses arguments, applies the k cap and
-hands each command's value to its three renderers in :mod:`.serialize`.
+calls one library function per command, and `serialize.emit` writes the
+value it returns with the renderer of the requested format.
 """
 
 from __future__ import annotations
@@ -34,14 +35,7 @@ import os
 import sys
 
 from . import __version__
-from .bigness import (
-    MODE_COARSE,
-    MODE_STACK,
-    no_divisor_certificate,
-    scan,
-    verify_coarse,
-    verify_stack,
-)
+from .bigness import scan, verify_coarse, verify_stack
 from .errors import HypothesisError, InputError, InvariantError, ResourceError
 from .hurwitz import (
     branch_pullback_boundary,
@@ -57,35 +51,8 @@ from .lowslope import (
     syzygy_divisor_g7,
     user_divisor,
 )
-from .partitions import (
-    OracleReport,
-    count_transposition_factorizations,
-    transposition_feasible,
-)
-from .serialize import (
-    certificate_csv,
-    certificate_text,
-    certificate_to_obj,
-    divisor_class_csv,
-    divisor_class_text,
-    divisor_class_to_obj,
-    hurwitz_class_csv,
-    hurwitz_class_text,
-    hurwitz_class_to_obj,
-    oracle_report_csv,
-    oracle_report_text,
-    oracle_report_to_obj,
-    parse_partition,
-    parse_rational,
-    recipe_csv,
-    recipe_text,
-    recipe_to_obj,
-    scan_summary_text,
-    scan_table_csv,
-    scan_table_text,
-    scan_table_to_obj,
-    write_envelope,
-)
+from .partitions import OracleReport
+from .serialize import emit, parse_partition, parse_rational, scan_summary_text
 from .spaces import canonical_class_m0b, kappa1_m0b, weierstrass_class
 
 DEFAULT_MAX_K = 10
@@ -101,51 +68,34 @@ def _check_k_cap(k: int) -> None:
         raise InputError(f"k = {k} exceeds the HURWITZ_MAX_K cap ({cap})")
 
 
-def _require(args: argparse.Namespace, names: list[str], command: str) -> None:
+def _require(args: argparse.Namespace, names: tuple[str, ...], command: str) -> None:
     for name in names:
         if getattr(args, name, None) is None:
             raise InputError(f"`{command}` requires --{name}")
 
 
-def _emit(args: argparse.Namespace, argv: list[str], value, to_obj, to_csv, to_text) -> None:
-    """Write `value` with the renderer of the requested format; no other runs.
+def _emit(args: argparse.Namespace, argv: list[str], value) -> None:
+    emit(value, args.format, argv, sys.stdout.write)
 
-    The JSON payload is built in full before its document is streamed to
-    stdout, so an input error writes nothing.
-    """
-    if args.format == "json":
-        write_envelope(argv, value, to_obj(value), sys.stdout.write)
-    elif args.format == "csv":
-        sys.stdout.write(to_csv(value))
-    else:
-        sys.stdout.write(to_text(value))
+
+# {subject: (builder, the options it takes, in order)}
+_CLASSES = {
+    "hodge": (hodge_class, ("g", "k")),
+    "canonical-stack": (canonical_class_stack, ("g", "k")),
+    "canonical-coarse": (canonical_class_coarse, ("g", "k")),
+    "branch-pullback": (branch_pullback_boundary, ("g", "k", "i")),
+    "kappa1": (kappa1_m0b, ("b",)),
+    "canonical-m0b": (canonical_class_m0b, ("b",)),
+    "weierstrass": (weierstrass_class, ("g",)),
+}
 
 
 def _run_classes(args: argparse.Namespace, argv: list[str]) -> int:
-    subject = args.subject
-    if subject in ("hodge", "canonical-stack", "canonical-coarse", "branch-pullback"):
-        _require(args, ["g", "k"], "classes")
+    build, names = _CLASSES[args.subject]
+    _require(args, names, f"classes {args.subject}")
+    if "k" in names:
         _check_k_cap(args.k)
-        if subject == "hodge":
-            cls = hodge_class(args.g, args.k)
-        elif subject == "canonical-stack":
-            cls = canonical_class_stack(args.g, args.k)
-        elif subject == "canonical-coarse":
-            cls = canonical_class_coarse(args.g, args.k)
-        else:
-            _require(args, ["i"], "classes branch-pullback")
-            cls = branch_pullback_boundary(args.g, args.k, args.i)
-        _emit(args, argv, cls, hurwitz_class_to_obj, hurwitz_class_csv, hurwitz_class_text)
-        return 0
-    if subject in ("kappa1", "canonical-m0b"):
-        _require(args, ["b"], "classes")
-        divisor = kappa1_m0b(args.b) if subject == "kappa1" else canonical_class_m0b(args.b)
-    elif subject == "weierstrass":
-        _require(args, ["g"], "classes")
-        divisor = weierstrass_class(args.g)
-    else:
-        raise InputError(f"unknown classes subject {subject!r}")
-    _emit(args, argv, divisor, divisor_class_to_obj, divisor_class_csv, divisor_class_text)
+    _emit(args, argv, build(*(getattr(args, name) for name in names)))
     return 0
 
 
@@ -155,10 +105,10 @@ def _run_divisor(args: argparse.Namespace, argv: list[str]) -> int:
             raise InputError("the syzygy divisor lives in genus 7")
         recipe = syzygy_divisor_g7()
     else:
-        _require(args, ["g"], f"divisor {args.kind}")
+        _require(args, ("g",), f"divisor {args.kind}")
         build = second_hilbert_divisor if args.kind == "even" else odd_genus_divisor
         recipe = build(args.g)
-    _emit(args, argv, recipe, recipe_to_obj, recipe_csv, recipe_text)
+    _emit(args, argv, recipe)
     return 0
 
 
@@ -174,15 +124,11 @@ def _resolve_recipe(args: argparse.Namespace) -> DivisorRecipe | None:
 
 
 def _run_verify(args: argparse.Namespace, argv: list[str]) -> int:
-    _require(args, ["g", "k"], "verify")
+    _require(args, ("g", "k"), "verify")
     _check_k_cap(args.k)
-    recipe = _resolve_recipe(args)
-    stack = args.mode == "stack"
-    if recipe is None:
-        cert = no_divisor_certificate(args.g, args.k, MODE_STACK if stack else MODE_COARSE)
-    else:
-        cert = (verify_stack if stack else verify_coarse)(args.g, args.k, recipe)
-    _emit(args, argv, cert, certificate_to_obj, certificate_csv, certificate_text)
+    verify = verify_stack if args.mode == "stack" else verify_coarse
+    cert = verify(args.g, args.k, _resolve_recipe(args))
+    _emit(args, argv, cert)
     return 0 if cert.certified() else 1
 
 
@@ -195,26 +141,24 @@ def _run_scan(args: argparse.Namespace, argv: list[str]) -> int:
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(scan_table_csv(table))
+                emit(table, "csv", argv, handle.write)
         except OSError as exc:
             sys.stderr.write(f"error: cannot write {args.out}: {exc}\n")
             return 3
         sys.stdout.write(scan_summary_text(table))
         return 0
-    _emit(args, argv, table, scan_table_to_obj, scan_table_csv, scan_table_text)
+    _emit(args, argv, table)
     sys.stderr.write(scan_summary_text(table))
     return 0
 
 
 def _run_oracle(args: argparse.Namespace, argv: list[str]) -> int:
-    _require(args, ["k", "mu", "i"], "oracle")
+    _require(args, ("k", "mu", "i"), "oracle")
     _check_k_cap(args.k)
     mu = parse_partition(args.mu)
     if mu.weight != args.k:
         raise InputError(f"mu = {mu} has weight {mu.weight}, expected k = {args.k}")
-    count = count_transposition_factorizations(mu, args.i)
-    report = OracleReport(mu, args.i, count, transposition_feasible(mu, args.i))
-    _emit(args, argv, report, oracle_report_to_obj, oracle_report_csv, oracle_report_text)
+    _emit(args, argv, OracleReport.of(mu, args.i))
     return 0
 
 
@@ -231,18 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p_classes = sub.add_parser("classes", help="emit a divisor-class table")
-    p_classes.add_argument(
-        "subject",
-        choices=(
-            "hodge",
-            "canonical-stack",
-            "canonical-coarse",
-            "branch-pullback",
-            "kappa1",
-            "canonical-m0b",
-            "weierstrass",
-        ),
-    )
+    p_classes.add_argument("subject", choices=tuple(_CLASSES))
     p_classes.add_argument("--g", type=int)
     p_classes.add_argument("--k", type=int)
     p_classes.add_argument("--b", type=int)

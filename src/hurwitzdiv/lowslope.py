@@ -279,11 +279,11 @@ def genus_recipe(g: int, allow_conditional: bool = False) -> DivisorRecipe | Non
 
     Even g >= 8 use the second-Hilbert divisor, odd g >= 15 the pushforward
     divisor and g = 7 the syzygy divisor; with `allow_conditional`, the
-    third-Hilbert divisor covers the remaining g >= 8.  Any other genus has
-    no unconditional divisor of slope below 8 here and gets None.
+    third-Hilbert divisor covers the remaining g >= 8.  Any other genus >= 2
+    has no unconditional divisor of slope below 8 here and gets None.
     """
-    if not isinstance(g, int) or g < 4:
-        raise InputError(f"g must be an integer >= 4, got {g!r}")
+    if not isinstance(g, int) or g < 2:
+        raise InputError(f"g must be an integer >= 2, got {g!r}")
     if g % 2 == 0 and g >= 8:
         return second_hilbert_divisor(g)
     if g % 2 == 1 and g >= 15:

@@ -295,6 +295,16 @@ class OracleReport(namedtuple("OracleReport", "mu i count feasible")):
     count: int
     feasible: bool
 
+    @classmethod
+    def of(cls, mu: Partition, i: int) -> "OracleReport":
+        """The oracle's count of (mu, i) and the criterion's verdict on it.
+
+        A classmethod, not a module function: the benchmark tracer wraps the
+        module functions of each layer and times the oracle only on a call
+        from another layer, which a wrapped builder here would hide.
+        """
+        return cls(mu, i, count_transposition_factorizations(mu, i), transposition_feasible(mu, i))
+
     @property
     def agree(self) -> bool:
         return (self.count > 0) == self.feasible

@@ -1,6 +1,11 @@
 """Lossless JSON / CSV / text encodings of every value the package emits.
 
 Every payload layout lives here; the command-line interface builds none.
+`emit(value, fmt, argv, write)` writes the value a command returns, with
+the renderer that `_RENDERERS` pairs with its type for the format.  That
+table is the one list of emitted payload types; a `QuadraticClass` is never
+emitted and has no JSON codec.
+
 Rationals travel as canonical strings "p/q" with gcd(p, q) = 1 and q > 0
 (plain "p" for integers); no floating point ever enters json or csv output.
 JSON documents come from one writer, `write_canonical(obj, write)`: the text
@@ -45,7 +50,6 @@ from .errors import InputError, InvariantError
 from .hurwitz import HurwitzClass, boundary_index
 from .lowslope import RECIPE_NAMES, DivisorRecipe
 from .partitions import OracleReport, Partition, partition_table
-from .pushpull import QuadraticClass
 from .spaces import KIND_M0B, DivisorClass, Space
 
 
@@ -104,20 +108,6 @@ def json_rows_csv(columns: list[str], rows: Iterable[dict]) -> str:
     writer.writerow(columns)
     writer.writerows([_csv_cell(row[key]) for key in columns] for row in rows)
     return buffer.getvalue()
-
-
-def write_envelope(argv: list[str], value, payload: dict, write: Callable[[str], object]) -> None:
-    """Write the JSON document of one command: the payload of `value` in the versioned envelope."""
-    write_canonical(
-        {
-            "command": "hurwitzdiv " + " ".join(argv),
-            "format": "json",
-            "payload": payload,
-            "payload_type": type(value).__name__,
-            "tool_version": __version__,
-        },
-        write,
-    )
 
 
 def parse_partition(text: str) -> Partition:
@@ -196,26 +186,6 @@ def divisor_class_from_obj(obj: dict) -> DivisorClass:
         for entry in _field(obj, "coefficients", list)
     }
     return DivisorClass.make(space, coeffs)
-
-
-def quadratic_class_to_obj(quadratic: QuadraticClass) -> dict:
-    return {
-        "space": space_to_obj(quadratic.space),
-        "coefficients": [
-            {"basis": [x, y], "value": rational_str(value)}
-            for (x, y), value in quadratic.coeffs
-        ],
-    }
-
-
-@_decoder
-def quadratic_class_from_obj(obj: dict) -> QuadraticClass:
-    space = space_from_obj(obj["space"])
-    coeffs = {
-        tuple(entry["basis"]): parse_rational(entry["value"])
-        for entry in _field(obj, "coefficients", list)
-    }
-    return QuadraticClass.make(space, coeffs)
 
 
 def divisor_class_csv(divisor: DivisorClass) -> str:
@@ -508,6 +478,44 @@ def oracle_report_text(report: OracleReport) -> str:
         f"feasible: {report.feasible}\n"
         f"agree:    {report.agree}\n"
     )
+
+
+# -- the emitted payload types -------------------------------------------------
+
+# {payload type: (json payload, csv, text)}: every type a command emits, and nothing else
+_RENDERERS: dict[type, tuple[Callable, Callable, Callable]] = {
+    DivisorClass: (divisor_class_to_obj, divisor_class_csv, divisor_class_text),
+    HurwitzClass: (hurwitz_class_to_obj, hurwitz_class_csv, hurwitz_class_text),
+    DivisorRecipe: (recipe_to_obj, recipe_csv, recipe_text),
+    BignessCertificate: (certificate_to_obj, certificate_csv, certificate_text),
+    ScanTable: (scan_table_to_obj, scan_table_csv, scan_table_text),
+    OracleReport: (oracle_report_to_obj, oracle_report_csv, oracle_report_text),
+}
+
+
+def emit(value, fmt: str, argv: list[str], write: Callable[[str], object]) -> None:
+    """Write `value` in format `fmt` ("json", "csv" or "text"); no other renderer runs.
+
+    JSON is the payload in the versioned envelope of the command `argv`.  The
+    payload is built in full before the first write, so an error while
+    building it writes nothing.  A type with no renderers raises
+    InvariantError.
+    """
+    try:
+        to_obj, to_csv, to_text = _RENDERERS[type(value)]
+    except KeyError:
+        raise InvariantError(f"no renderer for {type(value).__name__}") from None
+    if fmt == "json":
+        envelope = {
+            "command": "hurwitzdiv " + " ".join(argv),
+            "format": "json",
+            "payload": to_obj(value),
+            "payload_type": type(value).__name__,
+            "tool_version": __version__,
+        }
+        write_canonical(envelope, write)
+    else:
+        write((to_csv if fmt == "csv" else to_text)(value))
 
 
 # A list longer than this is written one chunk of items at a time.

@@ -152,9 +152,20 @@ class SparseClass:
     rank of its keys.  Sums, negatives and multiples go through
     `_ordered_terms` again, so every key is checked on every build;
     `_replace` skips `__post_init__`, so a sparse class must not rely on one.
+    Two classes are equal only if they have the same type, so classes of two
+    types with equal fields stay apart in a set; the hash is the tuple's.
     """
 
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    # without this, tuple.__ne__ would answer before the object default that calls __eq__
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def _with_terms(self, terms: Iterable, other: "SparseClass | None" = None) -> "SparseClass":
         """A class on the same space with the given terms; `other` is the second summand."""

@@ -36,6 +36,7 @@ from hurwitzdiv.bigness import (
     _margin_rows,
     _sigma_rule,
     _verdict,
+    no_divisor_certificate,
 )
 
 F = Fraction
@@ -281,6 +282,28 @@ def test_scan_rows_match_cellwise_verification():
             expected = ScanRow(row.g, row.k, recipe.name, recipe.slope, stack.verdict,
                                coarse, stack.min_margin())
         assert row == expected
+
+
+def test_verify_without_a_recipe_gives_the_no_divisor_certificate():
+    for verify, mode in ((verify_stack, MODE_STACK), (verify_coarse, MODE_COARSE)):
+        # (4, 5) is out of coarse range, which is checked only with a recipe
+        for g, k in ((2, 3), (13, 3), (4, 5)):
+            assert verify(g, k, None) == no_divisor_certificate(g, k, mode)
+        for g, k in ((1, 3), (4, 2)):
+            with pytest.raises(InputError):
+                verify(g, k, None)
+
+
+def test_verify_at_genus_two_and_three_gives_the_rows_of_the_scan():
+    # no built-in divisor serves g < 4: verify says NoDivisor there, as a scan does
+    table = scan(3, 5, 2, 3)
+    assert [(row.g, row.k) for row in table.rows] == [(g, k) for g in (2, 3) for k in (3, 4, 5)]
+    for row in table.rows:
+        stack = verify_stack(row.g, row.k, best_recipe(row.g, row.k))
+        coarse = verify_coarse(row.g, row.k, best_recipe(row.g, row.k))
+        assert stack.verdict == coarse.verdict == "NoDivisor"
+        coarse_entry = coarse.verdict if coarse_range_ok(row.g, row.k) else "n/a"
+        assert row == ScanRow(row.g, row.k, "none", None, stack.verdict, coarse_entry, None)
 
 
 def _endpoint_cells():

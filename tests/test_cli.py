@@ -56,6 +56,16 @@ def test_classes_branch_pullback_requires_i(capsys):
     assert "--i" in err
 
 
+@pytest.mark.parametrize(
+    "args, missing",
+    [(["hodge", "--g", "2"], "k"), (["kappa1"], "b"), (["weierstrass", "--k", "3"], "g")],
+)
+def test_classes_names_its_subject_and_the_missing_option(capsys, args, missing):
+    assert run_cli(capsys, ["classes", *args]) == (
+        2, "", f"error: `classes {args[0]}` requires --{missing}\n"
+    )
+
+
 def test_classes_kappa1_csv(capsys):
     code, out, _ = run_cli(capsys, ["classes", "kappa1", "--b", "6", "--format", "csv"])
     assert code == 0
@@ -104,6 +114,16 @@ def test_verify_no_divisor_exit_one(capsys):
     code, envelope, _ = run_json(capsys, ["verify", "stack", "--g", "13", "--k", "3"])
     assert code == 1
     assert envelope["payload"]["verdict"] == "NoDivisor"
+
+
+@pytest.mark.parametrize("mode, g", [("stack", 3), ("coarse", 2)])
+def test_verify_below_genus_four_is_no_divisor(capsys, mode, g):
+    # as in a scan: no built-in divisor serves g = 2 or 3, which is no usage error
+    code, envelope, err = run_json(capsys, ["verify", mode, "--g", str(g), "--k", "3"])
+    assert (code, err) == (1, "")
+    assert envelope["payload_type"] == "BignessCertificate"
+    assert envelope["payload"]["verdict"] == "NoDivisor"
+    assert envelope["payload"]["mode"] == mode.capitalize()
 
 
 def test_verify_user_supplied_slope(capsys):
@@ -335,15 +355,17 @@ def test_help_and_version_print_to_stdout(capsys):
 _LATE_INVARIANT = """
 import sys
 import hurwitzdiv.cli as cli
+from hurwitzdiv import serialize
+from hurwitzdiv.bigness import BignessCertificate
 
-to_obj = cli.certificate_to_obj
+to_obj, to_csv, to_text = serialize._RENDERERS[BignessCertificate]
 
 def broken(cert):
     obj = to_obj(cert)
     obj["indices"][-1]["margin"] = 0.5
     return obj
 
-cli.certificate_to_obj = broken
+serialize._RENDERERS[BignessCertificate] = (broken, to_csv, to_text)
 sys.exit(cli.main(["verify", "stack", "--g", "200", "--k", "10"]))
 """
 

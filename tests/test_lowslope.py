@@ -150,8 +150,9 @@ def test_best_recipe_selection():
     assert best_recipe(6, 3) is None  # slope exactly 8
     assert best_recipe(15, 3).name == "OddPushforward"
     assert best_recipe(4, 3) is None
+    assert best_recipe(3, 3) is None  # g = 2, 3: a cell with no divisor, not an error
     with pytest.raises(InputError):
-        best_recipe(3, 3)
+        best_recipe(1, 3)
     with pytest.raises(InputError):
         best_recipe(8, 2)
 

@@ -20,8 +20,8 @@ from hurwitzdiv import (
 )
 from hurwitzdiv.lowslope import DivisorRecipe
 from hurwitzdiv.partitions import OracleReport, partition_table, transposition_power_vector
-from hurwitzdiv.pushpull import multiply
-from hurwitzdiv.spaces import Space
+from hurwitzdiv.pushpull import QuadraticClass, multiply
+from hurwitzdiv.spaces import DivisorClass, Space, space_mg_pointed
 
 F = Fraction
 
@@ -96,3 +96,17 @@ def test_class_arithmetic_is_not_tuple_arithmetic(cls):
         c + (1,)
     with pytest.raises(TypeError):
         c * 1.5
+
+
+def test_sparse_classes_of_two_types_are_never_equal():
+    # both are (space, ()) as tuples; a class equals only a class of its own type
+    q = QuadraticClass.make(space_mg_pointed(3), {})
+    d = DivisorClass.zero(space_mg_pointed(3))
+    assert tuple(q) == tuple(d)
+    assert q != d and not q == d
+    assert len({q, d}) == 2
+    same = DivisorClass.zero(space_mg_pointed(3))
+    assert d == same and not d != same
+    assert d != tuple(d) and tuple(d) != d
+    for c in (q, d, hodge_class(3, 4)):
+        assert hash(c) == hash(tuple(c))

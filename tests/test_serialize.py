@@ -38,14 +38,13 @@ from hurwitzdiv.serialize import (
     divisor_class_from_obj,
     divisor_class_to_obj,
     dumps_canonical,
+    emit,
     hurwitz_class_csv,
     hurwitz_class_from_obj,
     hurwitz_class_to_obj,
     json_rows_csv,
     parse_partition,
     parse_rational,
-    quadratic_class_from_obj,
-    quadratic_class_to_obj,
     rational_str,
     recipe_from_obj,
     recipe_to_obj,
@@ -123,14 +122,6 @@ def test_divisor_class_round_trip():
     b_cls = DivisorClass.make(space_m0b(6), {"B_2": F(3, 5), "B_3": F(4, 5)})
     assert divisor_class_from_obj(divisor_class_to_obj(b_cls)) == b_cls
     assert divisor_class_from_obj(divisor_class_to_obj(weierstrass_class(5))) == weierstrass_class(5)
-
-
-def test_quadratic_class_round_trip():
-    q = QuadraticClass.make(
-        space_mg_pointed(4),
-        {("psi", "psi"): F(3, 2), ("lambda", "psi"): F(-7), ("delta_1", "delta_2"): F(1, 3)},
-    )
-    assert quadratic_class_from_obj(quadratic_class_to_obj(q)) == q
 
 
 def test_hurwitz_class_round_trip_with_marks():
@@ -252,6 +243,14 @@ def test_certificate_decoder_rejects_a_verdict_its_margins_contradict():
     assert certificate_from_obj(failed).verdict == "Failed"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_emit_rejects_a_type_with_no_renderers(fmt):
+    chunks = []
+    with pytest.raises(InvariantError, match="no renderer for QuadraticClass"):
+        emit(QuadraticClass.make(space_mg_pointed(3), {}), fmt, ["x"], chunks.append)
+    assert chunks == []
+
+
 def test_json_rows_csv_prints_lists_like_partitions():
     rows = [{"mu": [2, 1], "n": 3, "x": "-1/2"}]
     assert json_rows_csv(["mu", "n"], rows) == 'mu,n\n"[2,1]",3\n'
@@ -262,9 +261,6 @@ def test_json_rows_csv_prints_lists_like_partitions():
 _ENCODED = {
     space_from_obj: lambda: space_to_obj(space_mg(4)),
     divisor_class_from_obj: lambda: divisor_class_to_obj(weierstrass_class(3)),
-    quadratic_class_from_obj: lambda: quadratic_class_to_obj(
-        QuadraticClass.make(space_mg_pointed(3), {("psi", "psi"): F(1, 2)})
-    ),
     hurwitz_class_from_obj: lambda: hurwitz_class_to_obj(canonical_class_coarse(2, 3)),
     recipe_from_obj: lambda: recipe_to_obj(best_recipe(8, 5)),
     certificate_from_obj: lambda: certificate_to_obj(verify_coarse(8, 3, best_recipe(8, 3))),
@@ -292,7 +288,6 @@ def test_decoders_reject_missing_keys(decode):
 
 _RATIONAL_FIELDS = [
     (divisor_class_from_obj, ("coefficients", 0, "value")),
-    (quadratic_class_from_obj, ("coefficients", 0, "value")),
     (hurwitz_class_from_obj, ("coefficients", 0, "value")),
     (recipe_from_obj, ("slope",)),
     (recipe_from_obj, ("class", "coefficients", 0, "value")),
