@@ -7,8 +7,10 @@ divisor and a cell outside the coarse range), the full scan rectangle and an
 odd-genus divisor, each in every output format.  A second set, recorded
 before the payload renderers moved out of the CLI, covers the oracle report,
 the even and syzygy divisors, the classes on the genus-g and genus-0 spaces
-and a NoDivisor cell outside the coarse range.  A refactor of the formulas or
-renderers behind them must leave all of these bytes unchanged.
+and a NoDivisor cell outside the coarse range.  A third set, recorded before
+every built-in recipe went through one constructor, covers the conditional
+third-Hilbert divisor.  A refactor of the formulas or renderers behind them
+must leave all of these bytes unchanged.
 """
 
 from __future__ import annotations
@@ -200,6 +202,12 @@ GOLDEN = {
         (1, "ac2b27ece5c08c5949119c824694b6288e0d368d210284ba643003b3eb3e6871"),
     "verify coarse --g 4 --k 5 --format text":
         (1, "067227af43f21a07778a4c2af86170ba729e4a14eb23a21f14ad8f147d3d773d"),
+    "verify stack --g 9 --k 3 --assume-remark --format json":
+        (0, "f8b24e875c4ed9962371a53ce99aa82f0baa0821d2967cf690f53d4e9b3fd1e7"),
+    "verify stack --g 9 --k 3 --assume-remark --format csv":
+        (0, "1cd090411ff1f928c2bacfa0cb697246d248d7677c1a68fbbcc2947a1b1f9b5d"),
+    "verify stack --g 9 --k 3 --assume-remark --format text":
+        (0, "f50e8919937f76e2f7efcb607018c103f8a0949f0362c7e731b472ac2d2653e8"),
 }
 
 
