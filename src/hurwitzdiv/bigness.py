@@ -48,7 +48,7 @@ from .hurwitz import (
     boundary_index,
     boundary_index_set,
 )
-from .lowslope import DivisorRecipe, _avoidance_hypotheses, genus_recipe, recipe_for_degree
+from .lowslope import DivisorRecipe, _containment_lines, genus_recipe, recipe_for_degree
 from .partitions import partition_table
 
 MODE_STACK = "Stack"
@@ -287,9 +287,7 @@ def _verify(g: int, k: int, recipe: DivisorRecipe | None, mode: str) -> BignessC
         slope_used=s,
         per_index=_margins(g, k, indices, rows, coarse),
         alpha=alpha,
-        hypotheses=recipe.hypotheses
-        + _avoidance_hypotheses(recipe.avoided_gonality, k)[1:]
-        + notes,
+        hypotheses=recipe.hypotheses + _containment_lines(recipe.avoided_gonality, k) + notes,
         verdict=_verdict(mode, alpha),
     )
 

@@ -20,7 +20,9 @@ are assumed, never verified here):
 
 Each recipe records the m whose m-gonal locus it is assumed to miss as the
 integer `avoided_gonality`; its hypothesis line is rendered from m, never
-parsed.  `best_recipe` is `genus_recipe`, the divisor of the genus (built
+parsed.  `_recipe` is the one place where a built-in recipe's hypotheses are
+formed, from its effectivity line and m, so each builder states m once.
+`best_recipe` is `genus_recipe`, the divisor of the genus (built
 once per genus by a scan), followed by `recipe_for_degree`, the one rule for
 which k that divisor serves.
 """
@@ -85,21 +87,37 @@ class DivisorRecipe(Validated, namedtuple(
         m = self.avoided_gonality
         if not isinstance(m, int) or isinstance(m, bool) or m < 2:
             raise InputError(f"the avoided gonality must be an integer >= 2, got {m!r}")
-        if _avoidance_hypotheses(m)[0] not in self.hypotheses:
+        if _avoidance_line(m) not in self.hypotheses:
             raise InputError(f"the hypotheses do not state avoidance of the {m}-gonal locus")
         recomputed = slope(self.divisor_class)
         if recomputed != self.slope:
             raise InputError(f"stored slope {self.slope} != recomputed {recomputed}")
 
 
-def _avoidance_hypotheses(base_gonality: int, k: int | None = None) -> tuple[str, ...]:
-    lines = [f"does not contain the {base_gonality}-gonal locus (assumed)"]
-    if k is not None and k != base_gonality:
-        lines.append(
-            f"does not contain the {k}-gonal locus "
-            f"(the {base_gonality}-gonal locus lies inside it)"
-        )
-    return tuple(lines)
+def _avoidance_line(m: int) -> str:
+    """The hypothesis that the divisor misses the m-gonal locus."""
+    return f"does not contain the {m}-gonal locus (assumed)"
+
+
+def _containment_lines(m: int, k: int) -> tuple[str, ...]:
+    """Why a divisor missing the m-gonal locus misses the k-gonal one; nothing when k == m."""
+    if k == m:
+        return ()
+    return (f"does not contain the {k}-gonal locus (the {m}-gonal locus lies inside it)",)
+
+
+def _recipe(
+    name: str, divisor_class: DivisorClass, slope: Fraction, m: int, effective: str
+) -> DivisorRecipe:
+    """A recipe whose hypotheses are its effectivity line and the avoidance of the m-gonal locus."""
+    return DivisorRecipe(
+        name, divisor_class.space.g, divisor_class, slope, (effective, _avoidance_line(m)), m
+    )
+
+
+def _slope_recipe(name: str, g: int, s: Fraction, m: int, effective: str) -> DivisorRecipe:
+    """A recipe whose class is the stand-in s lambda - delta of genus g."""
+    return _recipe(name, _slope_class(space_mg(g), s), s, m, effective)
 
 
 def _slope_class(space: Space, s: Fraction) -> DivisorClass:
@@ -119,17 +137,10 @@ def second_hilbert_divisor(g: int) -> DivisorRecipe:
     """
     if not isinstance(g, int) or g < 6 or g % 2 != 0:
         raise InputError(f"the second-Hilbert divisor needs even g >= 6, got {g!r}")
-    return DivisorRecipe(
-        name=RECIPE_HILBERT2,
-        g=g,
-        divisor_class=_second_hilbert_class(g),
-        slope=7 + Fraction(6, g),
-        hypotheses=(
-            "effective: hyperplane pullback through the second-Hilbert-point model "
-            "(semistability assumed)",
-        )
-        + _avoidance_hypotheses(3),
-        avoided_gonality=3,
+    return _recipe(
+        RECIPE_HILBERT2, _second_hilbert_class(g), 7 + Fraction(6, g), 3,
+        "effective: hyperplane pullback through the second-Hilbert-point model "
+        "(semistability assumed)",
     )
 
 
@@ -198,34 +209,19 @@ def odd_genus_divisor(g: int) -> DivisorRecipe:
     s = slope(pushed)
     if s is None:
         raise InvariantError("the pushforward divisor has an undefined slope")
-    return DivisorRecipe(
-        name=RECIPE_ODD_PUSHFORWARD,
-        g=g,
-        divisor_class=pushed,
-        slope=s,
-        hypotheses=(
-            "effective: pushforward of an even-genus hyperplane pullback against "
-            "the Weierstrass divisor (semistability in genus g+1 assumed)",
-        )
-        + _avoidance_hypotheses(3),
-        avoided_gonality=3,
+    return _recipe(
+        RECIPE_ODD_PUSHFORWARD, pushed, s, 3,
+        "effective: pushforward of an even-genus hyperplane pullback against "
+        "the Weierstrass divisor (semistability in genus g+1 assumed)",
     )
 
 
 def syzygy_divisor_g7() -> DivisorRecipe:
     """Genus-7 divisor of slope 54/7 through the first-syzygy-point model."""
-    s = Fraction(54, 7)
-    return DivisorRecipe(
-        name=RECIPE_SYZYGY_G7,
-        g=7,
-        divisor_class=_slope_class(space_mg(7), s),
-        slope=s,
-        hypotheses=(
-            "effective: hyperplane pullback through the first-syzygy-point model "
-            "(semistability assumed)",
-        )
-        + _avoidance_hypotheses(4),
-        avoided_gonality=4,
+    return _slope_recipe(
+        RECIPE_SYZYGY_G7, 7, Fraction(54, 7), 4,
+        "effective: hyperplane pullback through the first-syzygy-point model "
+        "(semistability assumed)",
     )
 
 
@@ -237,18 +233,10 @@ def third_hilbert_divisor(g: int) -> DivisorRecipe:
     """
     if not isinstance(g, int) or g < 4:
         raise InputError(f"the third-Hilbert divisor needs g >= 4, got {g!r}")
-    s = Fraction(22, 3) + Fraction(5, g)
-    return DivisorRecipe(
-        name=RECIPE_HILBERT3_CONDITIONAL,
-        g=g,
-        divisor_class=_slope_class(space_mg(g), s),
-        slope=s,
-        hypotheses=(
-            "effective: hyperplane pullback through the third-Hilbert-point model "
-            "(UNPROVEN semistability assumed)",
-        )
-        + _avoidance_hypotheses(3),
-        avoided_gonality=3,
+    return _slope_recipe(
+        RECIPE_HILBERT3_CONDITIONAL, g, Fraction(22, 3) + Fraction(5, g), 3,
+        "effective: hyperplane pullback through the third-Hilbert-point model "
+        "(UNPROVEN semistability assumed)",
     )
 
 
@@ -263,14 +251,9 @@ def user_divisor(g: int, s: Fraction, k: int) -> DivisorRecipe:
     s = Fraction(s)
     if s <= 0:
         raise InputError(f"a user-supplied slope must be positive, got {s}")
-    return DivisorRecipe(
-        name=RECIPE_USER,
-        g=g,
-        divisor_class=_slope_class(space_mg(g), s),
-        slope=s,
-        hypotheses=("user-supplied effective divisor of the given slope (existence assumed)",)
-        + _avoidance_hypotheses(k),
-        avoided_gonality=k,
+    return _slope_recipe(
+        RECIPE_USER, g, s, k,
+        "user-supplied effective divisor of the given slope (existence assumed)",
     )
 
 
