@@ -54,7 +54,7 @@ class Partition(Validated, namedtuple("Partition", "parts")):
         if not self.parts:
             raise InputError("a partition needs at least one part")
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise InputError(f"parts must be positive integers, got {self.parts!r}")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise InputError(f"parts must be weakly decreasing, got {self.parts!r}")

@@ -223,7 +223,7 @@ def hurwitz_class_from_obj(obj: dict) -> HurwitzClass:
     coeffs: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     marks: set[tuple[int, tuple[int, ...]]] = set()
     for entry in _field(obj, "coefficients", list):
-        key = (entry["i"], tuple(entry["mu"]))
+        key = (_field(entry, "i", int), Partition(tuple(entry["mu"])).parts)
         coeffs[key] = parse_rational(entry["value"])
         if entry.get("prime"):
             marks.add(key)

@@ -95,6 +95,13 @@ def test_partition_validation():
     assert str(P((2, 1, 1))) == "[2,1,1]"
 
 
+def test_partition_rejects_bool_parts():
+    # True == 1, but a JSON true is no part: it would not survive a round trip
+    for parts in ((True,), (2, True), (False,)):
+        with pytest.raises(InputError, match="parts must be positive integers"):
+            P(parts)
+
+
 def test_partitions_of_examples():
     assert [p.parts for p in partitions_of(1)] == [(1,)]
     assert [p.parts for p in partitions_of(4)] == [

@@ -371,6 +371,24 @@ def test_decoders_reject_wrong_typed_fields():
             decode(obj)
 
 
+def test_decoders_reject_bool_partition_parts():
+    # True == 1, so [true, true, true, true] once decoded as the partition (1^4)
+    # and re-encoded as booleans
+    stack = certificate_to_obj(verify_stack(10, 4, best_recipe(10, 4)))
+    row = next(n for n, entry in enumerate(stack["indices"]) if entry["mu"] == [1, 1, 1, 1])
+    stack["indices"][row]["mu"] = [True] * 4
+    hodge = hurwitz_class_to_obj(hodge_class(3, 3))
+    assert hodge["coefficients"][0]["mu"] == [1, 1, 1]
+    hodge["coefficients"][0]["mu"] = [True] * 3
+    for decode, obj in ((certificate_from_obj, stack), (hurwitz_class_from_obj, hodge)):
+        with pytest.raises(InputError, match="parts must be positive integers"):
+            decode(obj)
+    # a float index once keyed the class too, and the payload could not be written back
+    hodge["coefficients"][0].update(i=2.0, mu=[1, 1, 1])
+    with pytest.raises(InputError, match="'i' must be a JSON int"):
+        hurwitz_class_from_obj(hodge)
+
+
 def _paths(obj, prefix=()):
     """The path of every field of a JSON value, following the first entry of each list."""
     if isinstance(obj, dict):
