@@ -43,7 +43,7 @@ from .hurwitz import (
     BoundaryIndex,
     _check_gk,
     _class_terms,
-    _first_index,
+    _index_range,
     _row_values,
     boundary_index,
     boundary_index_set,
@@ -64,6 +64,7 @@ SCAN_COARSE_OUT_OF_RANGE = "n/a"
 
 MAX_SCAN_G = 60
 MAX_SCAN_K = 10
+# Coarse margins are read in the slope-8 limit, where a = 0: their rows depend on k alone.
 _COARSE_SLOPE = Fraction(8)
 
 _BOUNDS_NOTE = (
@@ -117,12 +118,6 @@ def _margin_rows(k: int, s: Fraction, coarse: bool) -> _Rows:
     return rows
 
 
-@lru_cache(maxsize=16)
-def _coarse_rows(k: int) -> _Rows:
-    """The coarse rows, in the slope-8 limit: a = 0 there, so they depend on k alone."""
-    return _margin_rows(k, _COARSE_SLOPE, coarse=True)
-
-
 def _check_slope(s: Fraction) -> Fraction:
     s = Fraction(s)
     if not 0 < s <= 8:
@@ -143,7 +138,7 @@ def stack_inequality_lhs(g: int, k: int, s: Fraction, index: BoundaryIndex) -> F
 
 def coarse_inequality_lhs(g: int, k: int, index: BoundaryIndex) -> Fraction:
     """Exact coarse margin at one boundary index, in the slope-8 limit."""
-    return _margin_at(g, k, _coarse_rows(k), index)
+    return _margin_at(g, k, _margin_rows(k, _COARSE_SLOPE, coarse=True), index)
 
 
 class IndexMargin(namedtuple("IndexMargin", "index margin sigma_bound sharp note")):
@@ -270,7 +265,7 @@ def _verify(g: int, k: int, recipe: DivisorRecipe | None, mode: str) -> BignessC
     coarse = mode == MODE_COARSE
     s = _check_cell(g, k, recipe, coarse)
     indices = boundary_index_set(g, k)
-    rows = _coarse_rows(k) if coarse else _margin_rows(k, s, coarse=False)
+    rows = _margin_rows(k, _COARSE_SLOPE if coarse else s, coarse=coarse)
     # Each alpha ratio has the sign of its margin, so alpha has the sign of
     # the least margin and the verdict reads alpha alone.
     alpha = _least_margin(g, k, rows, _class_terms(k)["kappa1"])
@@ -336,7 +331,7 @@ def _least_margin(g: int, k: int, rows: _Rows, over: _Rows | None = None) -> Fra
     q = i(b-i)/(b-1) on the indices of partition mu.  `over` is the kappa1
     row for alpha; without it the denominator is the constant 1.
     Endpoint rule: the indices of mu are i0, i0 + 2, ..., imax <= b/2
-    (`hurwitz._first_index` gives i0), and q increases along them.  The
+    (`hurwitz._index_range`), and q increases along them.  The
     denominator a' q + c' is positive there (kappa1 = m(q - 1) and q > 1 for
     i >= 2), so the ratio (a q + c)/(a' q + c') is monotone in q: its
     derivative has the sign of a c' - c a'.  So its least value is at i0
@@ -349,11 +344,10 @@ def _least_margin(g: int, k: int, rows: _Rows, over: _Rows | None = None) -> Fra
     keys = []
     for row in partition_table(k):
         (a, c), (a1, c1) = rows[row.mu.parts][:2], over[row.mu.parts][:2] if over else (0, 1)
-        i = _first_index(row.drop)
+        indices = _index_range(b, row.drop)
         # a c' - c a' < 0, times the positive denominators of a and c
-        if a.numerator * c.denominator * c1 < c.numerator * a.denominator * a1:
-            i = b // 2 - (b // 2 - i) % 2
-        keys.append((i, row.mu.parts))
+        decreasing = a.numerator * c.denominator * c1 < c.numerator * a.denominator * a1
+        keys.append((indices[-1] if decreasing else indices[0], row.mu.parts))
     margins = _row_values(b, rows, keys)
     if over is None:
         return min(margins)
@@ -366,7 +360,8 @@ def _coarse_verdict(k: int) -> str:
 
     Coarse margins depend on mu alone, so every g in range gives this verdict.
     """
-    return _verdict(MODE_COARSE, _least_margin(2 * k - 2, k, _coarse_rows(k)))
+    rows = _margin_rows(k, _COARSE_SLOPE, coarse=True)
+    return _verdict(MODE_COARSE, _least_margin(2 * k - 2, k, rows))
 
 
 def _scan_cell(g: int, k: int, recipe: DivisorRecipe | None) -> ScanRow:

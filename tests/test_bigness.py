@@ -31,7 +31,7 @@ from hurwitzdiv import (
 from hurwitzdiv.bigness import (
     MODE_COARSE,
     MODE_STACK,
-    _coarse_rows,
+    _COARSE_SLOPE,
     _least_margin,
     _margin_rows,
     _sigma_rule,
@@ -322,7 +322,7 @@ def test_least_margin_is_the_least_certificate_margin():
         recipe = best_recipe(g, k) or user_divisor(g, F(54, 7), k)
         modes = [(verify_stack, MODE_STACK, _margin_rows(k, recipe.slope, coarse=False))]
         if coarse_range_ok(g, k):
-            modes.append((verify_coarse, MODE_COARSE, _coarse_rows(k)))
+            modes.append((verify_coarse, MODE_COARSE, _margin_rows(k, _COARSE_SLOPE, coarse=True)))
         for verify, mode, rows in modes:
             cert = verify(g, k, recipe)
             least = _least_margin(g, k, rows)
@@ -358,7 +358,7 @@ def test_alpha_is_the_least_ratio_at_the_partition_endpoints():
             recipe = best_recipe(g, k) or user_divisor(g, F(54, 7), k)
             modes = [_margin_rows(k, recipe.slope, coarse=False)]
             if coarse_range_ok(g, k):
-                modes.append(_coarse_rows(k))
+                modes.append(_margin_rows(k, _COARSE_SLOPE, coarse=True))
             for rows in modes:
                 alpha = _least_margin(g, k, rows, kappa1)
                 assert alpha == _brute_force_least(g, k, rows, kappa1), (g, k)

@@ -32,7 +32,7 @@ from hurwitzdiv.hurwitz import (
     BoundaryIndex,
     HurwitzClass,
     _boundary_indices,
-    _first_index,
+    _index_range,
     _is_index,
     boundary_index,
 )
@@ -107,10 +107,13 @@ def test_index_set_enumeration_equals_the_predicate():
 
 
 def test_first_index_is_the_least_feasible_index():
+    # the whole index range of each partition, not only its first index
     for k in range(3, 11):
-        for row in partition_table(k):
-            least = next(i for i in range(2, 2 * k + 2) if transposition_feasible(row.mu, i))
-            assert _first_index(row.drop) == least, row.mu
+        for g in (2, 3, 4, 9, 30):
+            b = 2 * g + 2 * k - 2
+            for row in partition_table(k):
+                feasible = [i for i in range(2, b // 2 + 1) if transposition_feasible(row.mu, i)]
+                assert list(_index_range(b, row.drop)) == feasible, (b, row.mu)
 
 
 def test_hurwitz_class_rejects_stray_indices():
