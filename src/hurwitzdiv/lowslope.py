@@ -22,9 +22,9 @@ Each recipe records the m whose m-gonal locus it is assumed to miss as the
 integer `avoided_gonality`; its hypothesis line is rendered from m, never
 parsed.  `_recipe` is the one place where a built-in recipe's hypotheses are
 formed, from its effectivity line and m, so each builder states m once.
-`best_recipe` is `genus_recipe`, the divisor of the genus (built
-once per genus by a scan), followed by `recipe_for_degree`, the one rule for
-which k that divisor serves.
+`best_recipe` is `genus_recipe`, the divisor of the genus (built once per
+genus by a scan), followed by `recipe_for_degree`, the one rule for which k
+that divisor serves.
 """
 
 from __future__ import annotations
@@ -95,12 +95,11 @@ class DivisorRecipe(Validated, namedtuple(
 
 
 def _avoidance_line(m: int) -> str:
-    """The hypothesis that the divisor misses the m-gonal locus."""
     return f"does not contain the {m}-gonal locus (assumed)"
 
 
 def _containment_lines(m: int, k: int) -> tuple[str, ...]:
-    """Why a divisor missing the m-gonal locus misses the k-gonal one; nothing when k == m."""
+    """Why a divisor that misses the m-gonal locus misses the k-gonal one; () when k == m."""
     if k == m:
         return ()
     return (f"does not contain the {k}-gonal locus (the {m}-gonal locus lies inside it)",)
@@ -109,14 +108,13 @@ def _containment_lines(m: int, k: int) -> tuple[str, ...]:
 def _recipe(
     name: str, divisor_class: DivisorClass, slope: Fraction, m: int, effective: str
 ) -> DivisorRecipe:
-    """A recipe whose hypotheses are its effectivity line and the avoidance of the m-gonal locus."""
-    return DivisorRecipe(
-        name, divisor_class.space.g, divisor_class, slope, (effective, _avoidance_line(m)), m
-    )
+    """The recipe whose hypotheses are `effective` and the avoidance of the m-gonal locus."""
+    g = divisor_class.space.g
+    return DivisorRecipe(name, g, divisor_class, slope, (effective, _avoidance_line(m)), m)
 
 
 def _slope_recipe(name: str, g: int, s: Fraction, m: int, effective: str) -> DivisorRecipe:
-    """A recipe whose class is the stand-in s lambda - delta of genus g."""
+    """The recipe whose class is the stand-in s lambda - delta of genus g."""
     return _recipe(name, _slope_class(space_mg(g), s), s, m, effective)
 
 
