@@ -64,7 +64,6 @@ from .lowslope import (
     user_divisor,
 )
 from .partitions import (
-    CycleTypeVector,
     Partition,
     conjugacy_class_size,
     count_factorizations_naive,
@@ -107,7 +106,6 @@ __all__ = [
     "InvariantError",
     # partitions
     "Partition",
-    "CycleTypeVector",
     "partitions_of",
     "lcm_of",
     "harmonic_inverse",

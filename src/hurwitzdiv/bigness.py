@@ -127,7 +127,7 @@ def _check_slope(s: Fraction) -> Fraction:
 
 def _margin_at(g: int, k: int, rows: _Rows, index: BoundaryIndex) -> Fraction:
     boundary_index(g, k, index.i, index.mu.parts)  # InputError unless an index of (g, k)
-    (margin,) = _row_values(2 * g + 2 * k - 2, rows, (index.key,))
+    (margin,) = _row_values(_check_gk(g, k), rows, (index.key,))
     return margin
 
 
@@ -222,7 +222,7 @@ def _margins(
         mu: (Fraction(sigma), sharp, _ABSORBED_NOTE if coarse and c == 0 else "")
         for mu, (a, c, sigma, sharp) in rows.items()
     }
-    margins = _row_values(2 * g + 2 * k - 2, rows, (index.key for index in indices))
+    margins = _row_values(_check_gk(g, k), rows, (index.key for index in indices))
     return tuple(
         IndexMargin(index, margin, *shared[index.mu.parts])
         for index, margin in zip(indices, margins)
@@ -340,7 +340,7 @@ def _least_margin(g: int, k: int, rows: _Rows, over: _Rows | None = None) -> Fra
     exactly one index per partition, O(p(k)), where the certificate lists
     all O(b p(k)) of them.
     """
-    b = 2 * g + 2 * k - 2
+    b = _check_gk(g, k)
     keys = []
     for row in partition_table(k):
         (a, c), (a1, c1) = rows[row.mu.parts][:2], over[row.mu.parts][:2] if over else (0, 1)

@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import InputError, InvariantError
-from .partitions import Partition, partition_table, transposition_feasible
+from .partitions import Partition, partition_table
 from .spaces import (
     KIND_M0B,
     DivisorClass,
@@ -107,12 +107,8 @@ def boundary_index(g: int, k: int, i: int, parts: tuple[int, ...]) -> BoundaryIn
 
 
 def _is_index(b: int, k: int, i: int, mu: Partition) -> bool:
-    """Is (i, mu) a boundary label of degree k with b branch points?
-
-    Feasibility is checked for i alone: k >= 3, b is even and b - i >= i, so
-    the condition for i implies the one for b - i.
-    """
-    return 2 <= i <= b // 2 and mu.weight == k and transposition_feasible(mu, i)
+    """Is (i, mu) a boundary label of degree k with b branch points?"""
+    return mu.weight == k and i in _index_range(b, k - mu.length)
 
 
 # A command reads the index set of one (g, k), ~21k indices at g = 1000: keep the last few.
@@ -122,15 +118,17 @@ _INDEX_CACHE_SIZE = 8
 def _index_range(b: int, drop: int) -> range:
     """The boundary indices i of a partition with k - l(mu) = drop, for b branch points.
 
-    They are i0, i0 + 2, ..., up to b/2, with i0 the least i >= 2 of the
-    parity of drop: those that `_is_index` accepts.
+    They are i0, i0 + 2, ..., up to b/2, with i0 the least i >= max(2, drop)
+    of the parity of drop: the i at which mu factors into i transpositions.
+    That implies a factorization into b - i, as k >= 3, b is even and
+    b - i >= i.  The index set and `_is_index` read this one rule.
     """
     return range(drop if drop >= 2 else drop + 2, b // 2 + 1, 2)
 
 
 @lru_cache(maxsize=_INDEX_CACHE_SIZE)
 def _boundary_indices(g: int, k: int) -> tuple[BoundaryIndex, ...]:
-    b = 2 * g + 2 * k - 2
+    b = _check_gk(g, k)
     # the indices of a partition are i0, i0 + 2, ...: each i takes the
     # partitions of its parity with i0 <= i
     starts = [(row.mu, _index_range(b, row.drop)[0]) for row in partition_table(k)]
@@ -302,7 +300,7 @@ def _canonical_class(g: int, k: int, name: str) -> HurwitzClass:
     of `canonical_class_m0b(b)`, and the coarse class sharp(mu) less.  As
     W_i = (b - 1) w_i is an integer, (b - 1) times each value is compared in integers.
     """
-    cls, b = _table_class(g, k, name), 2 * g + 2 * k - 2
+    cls, b = _table_class(g, k, name), _check_gk(g, k)
     drops = {r.mu.parts: name == "coarse" and sharp_indicator(2, r.mu) for r in partition_table(k)}
     terms = _pullback_terms(g, k, (b - 1) * canonical_class_m0b(b))
     expected = ((key, m * w.numerator + (m - 1 - drops[key[1]]) * (b - 1)) for key, m, w in terms)

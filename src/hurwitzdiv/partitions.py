@@ -6,6 +6,10 @@ cover over a node of the target curve.  Two derived quantities recur in every
 divisor-class formula: the least common multiple lcm(m_1, ..., m_l) and the
 harmonic sum 1/m_1 + ... + 1/m_l, both exact.
 
+The enumeration of the partitions of k fixes their order, largest part
+first (reverse-lexicographic): (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  Every
+table and vector over them is built by walking it; nothing here sorts them.
+
 The feasibility predicate `transposition_feasible` decides whether a
 permutation of cycle type mu is a product of i transpositions, using the
 standard criterion
@@ -16,11 +20,12 @@ with the degenerate case k = 1 handled separately (S_1 has no
 transpositions, so only the empty product exists).  The predicate is
 cross-validated against an exact counting oracle,
 `count_transposition_factorizations`, which convolves the class algebra of
-S_k with the transposition class: the state is an integer-valued vector over
-cycle types, and one convolution step applies the classical cut-and-join
-moves (a transposition either splits one cycle or merges two).  A
-tuple-enumeration fallback is kept for very small k as a second, independent
-check.
+S_k with the transposition class: the state is an integer count per cycle
+type, and one convolution step applies the classical cut-and-join moves (a
+transposition either splits one cycle or merges two).
+`transposition_power_vector` returns that state as (cycle type, count)
+pairs.  A tuple-enumeration fallback is kept for very small k as a second,
+independent check.
 """
 
 from __future__ import annotations
@@ -79,15 +84,6 @@ class Partition(Validated, namedtuple("Partition", "parts")):
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-def rev_lex_key(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Sort key placing partitions in reverse-lexicographic order.
-
-    (4) comes before (3,1), which comes before (2,2), and so on down to
-    (1,1,1,1); ascending sort on this key realises that order.
-    """
-    return tuple(-p for p in parts)
-
-
 @lru_cache(maxsize=None)
 def _partition_tuples(k: int) -> tuple[tuple[int, ...], ...]:
     out: list[tuple[int, ...]] = []
@@ -116,8 +112,7 @@ def partitions_of(k: int) -> list[Partition]:
     >>> [p.parts for p in partitions_of(4)]
     [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     """
-    _check_weight(k)
-    return [row.mu for row in _partition_table(k)]
+    return [row.mu for row in partition_table(k)]
 
 
 def lcm_of(mu: Partition) -> int:
@@ -142,18 +137,15 @@ class PartitionRow(namedtuple("PartitionRow", "mu lcm harmonic drop")):
     harmonic: Fraction
     drop: int
 
-    @classmethod
-    def of(cls, mu: Partition) -> "PartitionRow":
-        return cls(mu, lcm_of(mu), harmonic_inverse(mu), mu.weight - mu.length)
-
 
 @lru_cache(maxsize=16)
 def _partition_table(k: int) -> tuple[PartitionRow, ...]:
-    return tuple(PartitionRow.of(Partition(parts)) for parts in _partition_tuples(k))
+    mus = (Partition(parts) for parts in _partition_tuples(k))
+    return tuple(PartitionRow(mu, lcm_of(mu), harmonic_inverse(mu), k - mu.length) for mu in mus)
 
 
 def partition_table(k: int) -> tuple[PartitionRow, ...]:
-    """One row per partition of k, in the order of `partitions_of(k)`."""
+    """One row per partition of k, largest part first (the module docstring's order)."""
     _check_weight(k)
     return _partition_table(k)
 
@@ -181,32 +173,6 @@ def conjugacy_class_size(mu: Partition) -> int:
         a = mu.multiplicity(r)
         centralizer *= r**a * math.factorial(a)
     return math.factorial(k) // centralizer
-
-
-class CycleTypeVector(namedtuple("CycleTypeVector", "k entries")):
-    """Integer-valued state vector over the cycle types of S_k.
-
-    Entries are (cycle type, count) pairs in reverse-lexicographic order with
-    zero counts dropped; counts are exact arbitrary-precision integers.
-    """
-
-    __slots__ = ()
-    k: int
-    entries: tuple[tuple[Partition, int], ...]
-
-    @classmethod
-    def from_counts(cls, k: int, counts: dict[tuple[int, ...], int]) -> "CycleTypeVector":
-        items = sorted(
-            ((parts, n) for parts, n in counts.items() if n),
-            key=lambda item: rev_lex_key(item[0]),
-        )
-        return cls(k, tuple((Partition(parts), n) for parts, n in items))
-
-    def count_for(self, mu: Partition) -> int:
-        for nu, n in self.entries:
-            if nu == mu:
-                return n
-        return 0
 
 
 @lru_cache(maxsize=None)
@@ -240,15 +206,19 @@ def _cut_and_join_table(k: int) -> dict[tuple[int, ...], tuple[tuple[tuple[int, 
             for j2 in range(j1 + 1, len(parts)):
                 rest = parts[:j1] + parts[j1 + 1 : j2] + parts[j2 + 1 :]
                 record(rest + (parts[j1] + parts[j2],), parts[j1] * parts[j2])
-        table[parts] = tuple(sorted(moves.items(), key=lambda item: rev_lex_key(item[0])))
+        table[parts] = tuple(moves.items())
     return table
 
 
-def transposition_power_vector(k: int, i: int) -> CycleTypeVector:
+def transposition_power_vector(k: int, i: int) -> tuple[tuple[Partition, int], ...]:
     """Distribution of products of i transpositions in S_k over cycle types.
 
-    The entry at nu is the number of ordered i-tuples of transpositions whose
-    product equals one fixed permutation of cycle type nu.
+    The (nu, count) pairs, in the order of `partitions_of(k)` with zero
+    counts dropped: count is the number of ordered i-tuples of transpositions
+    whose product equals one fixed permutation of cycle type nu.
+
+    >>> [(nu.parts, n) for nu, n in transposition_power_vector(3, 2)]
+    [((3,), 3), ((1, 1, 1), 3)]
     """
     if not isinstance(i, int) or i < 0:
         raise InputError(f"the number of transpositions must be a non-negative integer, got {i!r}")
@@ -261,17 +231,18 @@ def transposition_power_vector(k: int, i: int) -> CycleTypeVector:
     table = _cut_and_join_table(k)
     state: dict[tuple[int, ...], int] = {(1,) * k: 1}
     for _ in range(i):
+        # walking the table keeps the state in the order of the enumeration
         new_state: dict[tuple[int, ...], int] = {}
-        for parts in _partition_tuples(k):
+        for parts, moves in table.items():
             total = 0
-            for neighbour, mult in table[parts]:
+            for neighbour, mult in moves:
                 n = state.get(neighbour)
                 if n:
                     total += mult * n
             if total:
                 new_state[parts] = total
         state = new_state
-    return CycleTypeVector.from_counts(k, state)
+    return tuple((Partition(parts), n) for parts, n in state.items())
 
 
 def count_transposition_factorizations(mu: Partition, i: int) -> int:
@@ -283,7 +254,7 @@ def count_transposition_factorizations(mu: Partition, i: int) -> int:
     >>> count_transposition_factorizations(Partition((3,)), 2)
     3
     """
-    return transposition_power_vector(mu.weight, i).count_for(mu)
+    return dict(transposition_power_vector(mu.weight, i)).get(mu, 0)
 
 
 class OracleReport(namedtuple("OracleReport", "mu i count feasible")):

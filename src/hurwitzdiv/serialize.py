@@ -192,10 +192,16 @@ def divisor_class_csv(divisor: DivisorClass) -> str:
     return json_rows_csv(["basis", "value"], divisor_class_to_obj(divisor)["coefficients"])
 
 
+def _coefficient_lines(divisor: DivisorClass) -> list[str]:
+    return [f"  {label:12s} {rational_text(value)}" for label, value in divisor.coeffs]
+
+
+def _hypotheses_lines(hypotheses: tuple[str, ...]) -> list[str]:
+    return ["hypotheses:", *(f"  - {h}" for h in hypotheses)]
+
+
 def divisor_class_text(divisor: DivisorClass) -> str:
-    lines = [f"space: {divisor.space}"]
-    for label, value in divisor.coeffs:
-        lines.append(f"  {label:12s} {rational_text(value)}")
+    lines = [f"space: {divisor.space}", *_coefficient_lines(divisor)]
     return "\n".join(lines) + "\n"
 
 
@@ -225,7 +231,8 @@ def hurwitz_class_from_obj(obj: dict) -> HurwitzClass:
     for entry in _field(obj, "coefficients", list):
         key = (_field(entry, "i", int), Partition(tuple(entry["mu"])).parts)
         coeffs[key] = parse_rational(entry["value"])
-        if entry.get("prime"):
+        # an absent flag means unmarked; a present one must be a JSON bool
+        if "prime" in entry and _field(entry, "prime", bool):
             marks.add(key)
     return HurwitzClass.make(obj["g"], obj["k"], coeffs, marks)
 
@@ -282,12 +289,9 @@ def recipe_text(recipe: DivisorRecipe) -> str:
         f"divisor: {recipe.name} (g={recipe.g})",
         f"slope:   {rational_text(recipe.slope)}",
         "class:",
+        *_coefficient_lines(recipe.divisor_class),
+        *_hypotheses_lines(recipe.hypotheses),
     ]
-    for label, value in recipe.divisor_class.coeffs:
-        lines.append(f"  {label:12s} {rational_text(value)}")
-    lines.append("hypotheses:")
-    for h in recipe.hypotheses:
-        lines.append(f"  - {h}")
     return "\n".join(lines) + "\n"
 
 
@@ -374,9 +378,7 @@ def certificate_text(cert: BignessCertificate) -> str:
             f"  i={entry.index.i:<3d} mu={str(entry.index.mu):12s} "
             f"margin {rational_text(entry.margin)}{note}"
         )
-    lines.append("hypotheses:")
-    for h in cert.hypotheses:
-        lines.append(f"  - {h}")
+    lines += _hypotheses_lines(cert.hypotheses)
     return "\n".join(lines) + "\n"
 
 

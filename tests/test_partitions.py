@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from hurwitzdiv import (
-    CycleTypeVector,
     InputError,
     Partition,
     ResourceError,
@@ -244,11 +243,12 @@ def test_conjugacy_class_sizes_sum_to_group_order():
 
 
 def test_power_vector_type():
-    vec = transposition_power_vector(4, 3)
-    assert isinstance(vec, CycleTypeVector)
-    assert all(n > 0 for _, n in vec.entries)
-    parts_list = [mu.parts for mu, _ in vec.entries]
-    assert parts_list == sorted(parts_list, reverse=True)
+    # the nonzero counts as (Partition, count) pairs, in the order of the enumeration
+    for i in range(4):
+        pairs = transposition_power_vector(4, i)
+        naive = [(mu, count_factorizations_naive(mu, i)) for mu in partitions_of(4)]
+        assert pairs == tuple((mu, n) for mu, n in naive if n)
+        assert all(type(mu) is Partition for mu, _ in pairs)
 
 
 def test_count_resource_limits():

@@ -19,7 +19,7 @@ from hurwitzdiv import (
     weierstrass_class,
 )
 from hurwitzdiv.lowslope import DivisorRecipe
-from hurwitzdiv.partitions import OracleReport, partition_table, transposition_power_vector
+from hurwitzdiv.partitions import OracleReport, partition_table
 from hurwitzdiv.pushpull import QuadraticClass, multiply
 from hurwitzdiv.spaces import DivisorClass, Space, space_mg_pointed
 
@@ -33,7 +33,6 @@ def _certificate():
 RECORDS = {
     "Partition": lambda: Partition((2, 1)),
     "PartitionRow": lambda: partition_table(3)[0],
-    "CycleTypeVector": lambda: transposition_power_vector(3, 2),
     "OracleReport": lambda: OracleReport(Partition((3,)), 2, 3, True),
     "Space": lambda: space_mg(4),
     "DivisorClass": lambda: canonical_class_m0b(6),
