@@ -134,6 +134,20 @@ def test_hurwitz_class_round_trip_with_marks():
     assert hurwitz_class_from_obj(hurwitz_class_to_obj(plain)) == plain
 
 
+def test_hurwitz_class_absent_prime_flag_means_unmarked():
+    cls = canonical_class_coarse(2, 3)
+    obj = hurwitz_class_to_obj(cls)
+    for entry in obj["coefficients"]:
+        if entry["prime"] is False:
+            del entry["prime"]
+    assert hurwitz_class_from_obj(obj) == cls
+    for entry in obj["coefficients"]:
+        entry.pop("prime", None)
+    bare = hurwitz_class_from_obj(obj)
+    assert bare.branch_marks == frozenset() and bare.coeffs == cls.coeffs
+    assert all(entry["prime"] is False for entry in hurwitz_class_to_obj(bare)["coefficients"])
+
+
 def test_hurwitz_class_csv_layout():
     text = hurwitz_class_csv(hodge_class(2, 3))
     lines = text.splitlines()
