@@ -8,9 +8,9 @@ node has partition type mu.  Feasibility demands that a permutation of cycle
 type mu factor into i transpositions on one side and b - i on the other.
 
 Classes here are sparse exact-rational vectors over that index set, built
-on the sparse-class core of :mod:`.spaces`: the position of each key in the
-cached index set ranks it, so a class keeps the order of
-``boundary_index_set``, and a key outside the set is rejected.  Every
+on the sparse-class core of :mod:`.spaces`: a key is ranked by (i, position
+of mu in the partition table), with no table per g, so a class keeps the
+order of ``boundary_index_set``, and a key outside the set is rejected.  Every
 class built here is affine in q = i(b-i)/(b-1) on each partition: its
 coefficient at (i, mu) is a q + c, with (a, c) read from one table per k.
 With m = m(mu) the lcm of the parts and 1/mu the harmonic sum:
@@ -111,10 +111,6 @@ def _is_index(b: int, k: int, i: int, mu: Partition) -> bool:
     return mu.weight == k and i in _index_range(b, k - mu.length)
 
 
-# A command reads the index set of one (g, k), ~21k indices at g = 1000: keep the last few.
-_INDEX_CACHE_SIZE = 8
-
-
 def _index_range(b: int, drop: int) -> range:
     """The boundary indices i of a partition with k - l(mu) = drop, for b branch points.
 
@@ -126,7 +122,8 @@ def _index_range(b: int, drop: int) -> range:
     return range(drop if drop >= 2 else drop + 2, b // 2 + 1, 2)
 
 
-@lru_cache(maxsize=_INDEX_CACHE_SIZE)
+# A command reads the index set of one (g, k), ~21k indices at g = 1000: keep the last few.
+@lru_cache(maxsize=8)
 def _boundary_indices(g: int, k: int) -> tuple[BoundaryIndex, ...]:
     b = _check_gk(g, k)
     # the indices of a partition are i0, i0 + 2, ...: each i takes the
@@ -141,10 +138,21 @@ def _boundary_indices(g: int, k: int) -> tuple[BoundaryIndex, ...]:
     )
 
 
-@lru_cache(maxsize=_INDEX_CACHE_SIZE)
-def _index_positions(g: int, k: int) -> dict[IndexKey, int]:
-    """Position of each index key in `_boundary_indices(g, k)`; built once per (g, k)."""
-    return {index.key: n for n, index in enumerate(_boundary_indices(g, k))}
+def _index_rank(g: int, k: int) -> Callable[[IndexKey], tuple[int, int]]:
+    """(i, position of mu in `partition_table(k)`): the index order of a key (i, mu-parts).
+
+    KeyError unless the key is an index of (g, k); nothing is built per g.
+    """
+    b, rows = _check_gk(g, k), {r.mu.parts: (n, r.mu) for n, r in enumerate(partition_table(k))}
+
+    def rank(key: IndexKey) -> tuple[int, int]:
+        if type(key) is tuple and len(key) == 2 and type(key[0]) is int and key[1] in rows:
+            n, mu = rows[key[1]]
+            if _is_index(b, k, key[0], mu) and all(type(p) is int for p in key[1]):
+                return key[0], n
+        raise KeyError(key)
+
+    return rank
 
 
 def _cover_space(g: int, k: int) -> str:
@@ -182,9 +190,7 @@ class HurwitzClass(SparseClass, namedtuple("HurwitzClass", "g k coeffs branch_ma
         coefficients: Terms,
         branch_marks: frozenset[IndexKey] | set[IndexKey] = frozenset(),
     ) -> "HurwitzClass":
-        _check_gk(g, k)
-        rank = _index_positions(g, k).__getitem__
-        coeffs = _ordered_terms(coefficients, rank, _cover_space(g, k))
+        coeffs = _ordered_terms(coefficients, _index_rank(g, k), _cover_space(g, k))
         return cls(g, k, coeffs, _marks_on(coeffs, branch_marks))
 
     def coefficient(self, i: int, mu: Partition) -> Fraction:
@@ -193,8 +199,8 @@ class HurwitzClass(SparseClass, namedtuple("HurwitzClass", "g k coeffs branch_ma
     def support(self) -> tuple[IndexKey, ...]:
         return tuple(key for key, _ in self.coeffs)
 
-    def _basis(self) -> tuple[str, Callable[[IndexKey], int]]:
-        return _cover_space(self.g, self.k), _index_positions(self.g, self.k).__getitem__
+    def _basis(self) -> tuple[str, Callable[[IndexKey], tuple[int, int]]]:
+        return _cover_space(self.g, self.k), _index_rank(self.g, self.k)
 
     def _with_terms(self, terms: Iterable, other: "HurwitzClass | None" = None) -> "HurwitzClass":
         result = super()._with_terms(terms)
@@ -252,7 +258,7 @@ def _row_values(b: int, rows: dict, keys: Iterable[IndexKey]) -> Iterator[Fracti
 def _table_class(g: int, k: int, name: str) -> HurwitzClass:
     """One row of the table as a class: its nonzero values in index order, sharp keys marked."""
     b = _check_gk(g, k)
-    rows, keys = _class_terms(k)[name], _index_positions(g, k)
+    rows, keys = _class_terms(k)[name], [(i, mu.parts) for i, mu in _boundary_indices(g, k)]
     coeffs = tuple(term for term in zip(keys, _row_values(b, rows, keys)) if term[1])
     return HurwitzClass(g, k, coeffs, frozenset(key for key, _ in coeffs if rows[key[1]][2]))
 
@@ -279,7 +285,7 @@ def _pullback_terms(g: int, k: int, divisor: DivisorClass) -> Iterator[tuple]:
     values = divisor.as_dict()
     weights = [values.get(f"B_{i}", 0) for i in range(b // 2 + 1)]
     lcms = {row.mu.parts: row.lcm for row in partition_table(k)}
-    return ((key, lcms[key[1]], weights[key[0]]) for key in _index_positions(g, k))
+    return (((i, mu.parts), lcms[mu.parts], weights[i]) for i, mu in _boundary_indices(g, k))
 
 
 def branch_pullback(g: int, k: int, divisor: DivisorClass) -> HurwitzClass:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -116,11 +117,22 @@ def test_first_index_is_the_least_feasible_index():
                 assert list(_index_range(b, row.drop)) == feasible, (b, row.mu)
 
 
-def test_hurwitz_class_rejects_stray_indices():
+@pytest.mark.parametrize(
+    "g, k, key",
+    [
+        (2, 3, (2, (2, 1))),
+        (2, 3, (5, (3,))),
+        # a float i or part hashes like the int, but is not an index
+        (3, 3, (3.0, (2, 1))),
+        (3, 3, (3, (2.0, 1))),
+        (3, 3, (3, (2, 1), 0)),
+        (3, 3, "ab"),
+    ],
+    ids=repr,
+)
+def test_hurwitz_class_rejects_stray_indices(g, k, key):
     with pytest.raises(InputError):
-        HurwitzClass.make(2, 3, {(2, (2, 1)): F(1)})
-    with pytest.raises(InputError):
-        HurwitzClass.make(2, 3, {(5, (3,)): F(1)})
+        HurwitzClass.make(g, k, {key: F(1)})
 
 
 def test_hodge_class_g2_k3_table():
@@ -341,13 +353,17 @@ def test_hurwitz_class_rejects_floats():
         HurwitzClass.make(2, 3, {(2, (3,)): 0.25})
 
 
-def test_hurwitz_class_make_orders_keys_by_index():
-    g, k = 3, 4
-    values = {index.key: F(n + 1, 3) for n, index in enumerate(boundary_index_set(g, k))}
+@pytest.mark.parametrize("g, k", [(3, 4), (2, 3), (9, 7), (60, 10), (200, 8), (1000, 10)])
+def test_hurwitz_class_make_orders_keys_by_index(g, k):
+    keys = tuple(x.key for x in boundary_index_set(g, k))
+    values = {key: F(n + 1, 3) for n, key in enumerate(keys)}
     in_order = HurwitzClass.make(g, k, values)
-    reversed_build = HurwitzClass.make(g, k, dict(reversed(list(values.items()))))
-    assert reversed_build == in_order
-    assert reversed_build.support() == tuple(x.key for x in boundary_index_set(g, k))
+    shuffled = list(values.items())
+    random.Random(g * k).shuffle(shuffled)
+    for terms in (dict(reversed(list(values.items()))), shuffled):
+        build = HurwitzClass.make(g, k, terms)
+        assert build == in_order
+        assert build.support() == keys
 
 
 def test_table_builds_are_canonical():
