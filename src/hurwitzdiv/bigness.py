@@ -399,11 +399,10 @@ def scan(k_min: int, k_max: int, g_min: int, g_max: int) -> ScanTable:
         raise InputError(f"g_min must be at least 2, got {g_min}")
     if k_min <= k_max and k_min < 3:
         raise InputError(f"k_min must be at least 3, got {k_min}")
-    genus_recipes: dict[int, DivisorRecipe | None] = {}
+    degrees = range(k_min, k_max + 1)
     rows = []
-    for g in range(g_min, g_max + 1):
-        for k in range(k_min, k_max + 1):
-            if g not in genus_recipes:
-                genus_recipes[g] = genus_recipe(g)
-            rows.append(_scan_cell(g, k, recipe_for_degree(genus_recipes[g], k)))
+    if degrees:  # an empty k range builds no recipe
+        for g in range(g_min, g_max + 1):
+            recipe = genus_recipe(g)
+            rows.extend(_scan_cell(g, k, recipe_for_degree(recipe, k)) for k in degrees)
     return ScanTable(tuple(rows))

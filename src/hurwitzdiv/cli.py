@@ -7,19 +7,20 @@ classes   emit a divisor-class table (hodge, canonical-stack, canonical-coarse,
 divisor   emit a low-slope divisor recipe (even, odd, syzygy-g7)
 verify    run the bigness verification for the stack or the coarse space
 scan      run verifications over a (g, k) rectangle, one cell after another,
-          and emit a CSV table
+          and emit the table
 oracle    count transposition factorizations and compare with the
           feasibility criterion
 
 Exit codes: 0 success / Certified, 1 verification failure or no divisor
-available, 2 usage or hypothesis error, 3 I/O error (a closed or full
-stdout included), 4 internal invariant violated (a bug; stdout may hold part of a
-document).  Each error writes one line to stderr.  Output formats: json
-(default; deterministic, key-sorted envelope, streamed in chunks once its
-payload is built), csv, text.  Rationals are
-read and written as "p/q" strings; floats are never accepted.  The
-environment variable HURWITZ_MAX_K (default 10) caps k as a resource guard
-on the partition lattice.
+available, 2 usage or hypothesis error, 3 I/O error (a closed or full stdout
+included), 4 internal invariant violated (a bug; stdout may hold part of a
+document).  Each error writes one line to stderr; a usage error is one
+`error:` line, exits 2 and writes nothing to stdout.  Output goes to stdout,
+and the summary line of `scan` to stderr.  Output formats: json (default;
+deterministic, key-sorted envelope, streamed in chunks once its payload is
+built), csv, text.  Rationals are read and written as "p/q" strings; floats
+are never accepted.  The environment variable HURWITZ_MAX_K (default 10)
+caps k as a resource guard on the partition lattice.
 
 This module builds no payload: it parses arguments, applies the k cap and
 calls one library function per command, and `serialize.emit` writes the
@@ -33,6 +34,7 @@ import contextlib
 import io
 import os
 import sys
+from typing import NoReturn
 
 from . import __version__
 from .bigness import scan, verify_coarse, verify_stack
@@ -66,6 +68,13 @@ def _check_k_cap(k: int) -> None:
         raise InputError(f"HURWITZ_MAX_K must be an integer, got {raw!r}") from None
     if k > cap:
         raise InputError(f"k = {k} exceeds the HURWITZ_MAX_K cap ({cap})")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        # a usage error is one InputError line; argparse repeats an
+        # unrecognized argument as given, line breaks and all
+        raise InputError(f"{self.prog}: " + "\\n".join(message.splitlines()))
 
 
 def _require(args: argparse.Namespace, names: tuple[str, ...], command: str) -> None:
@@ -124,7 +133,6 @@ def _resolve_recipe(args: argparse.Namespace) -> DivisorRecipe | None:
 
 
 def _run_verify(args: argparse.Namespace, argv: list[str]) -> int:
-    _require(args, ("g", "k"), "verify")
     _check_k_cap(args.k)
     verify = verify_stack if args.mode == "stack" else verify_coarse
     cert = verify(args.g, args.k, _resolve_recipe(args))
@@ -138,22 +146,12 @@ def _run_scan(args: argparse.Namespace, argv: list[str]) -> int:
     if k_min <= k_max:
         _check_k_cap(k_max)
     table = scan(k_min, k_max, g_min, g_max)
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                emit(table, "csv", argv, handle.write)
-        except OSError as exc:
-            sys.stderr.write(f"error: cannot write {args.out}: {exc}\n")
-            return 3
-        sys.stdout.write(scan_summary_text(table))
-        return 0
     _emit(args, argv, table)
     sys.stderr.write(scan_summary_text(table))
     return 0
 
 
 def _run_oracle(args: argparse.Namespace, argv: list[str]) -> int:
-    _require(args, ("k", "mu", "i"), "oracle")
     _check_k_cap(args.k)
     mu = parse_partition(args.mu)
     if mu.weight != args.k:
@@ -163,7 +161,7 @@ def _run_oracle(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hurwitzdiv",
         description="Exact divisor-class calculus and bigness certificates "
         "on compactified spaces of branched covers.",
@@ -189,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a bigness verification")
     p_verify.add_argument("mode", choices=("stack", "coarse"))
-    p_verify.add_argument("--g", type=int)
-    p_verify.add_argument("--k", type=int)
+    p_verify.add_argument("--g", type=int, required=True)
+    p_verify.add_argument("--k", type=int, required=True)
     p_verify.add_argument("--slope", type=str, help='user-supplied slope "p/q"')
     p_verify.add_argument(
         "--assume-avoidance",
@@ -207,13 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="verify a rectangle of (g, k) cells")
     p_scan.add_argument("--k", type=int, nargs=2, metavar=("K_MIN", "K_MAX"), required=True)
     p_scan.add_argument("--g", type=int, nargs=2, metavar=("G_MIN", "G_MAX"), required=True)
-    p_scan.add_argument("--out", type=str, help="write the CSV table to this path")
     add_format(p_scan)
 
     p_oracle = sub.add_parser("oracle", help="count transposition factorizations")
-    p_oracle.add_argument("--k", type=int)
-    p_oracle.add_argument("--mu", type=str, help='partition as "m1,m2,..."')
-    p_oracle.add_argument("--i", type=int)
+    p_oracle.add_argument("--k", type=int, required=True)
+    p_oracle.add_argument("--mu", type=str, required=True, help='partition as "m1,m2,..."')
+    p_oracle.add_argument("--i", type=int, required=True)
     add_format(p_oracle)
 
     return parser
@@ -239,9 +236,8 @@ def main(argv: list[str] | None = None) -> int:
             with contextlib.redirect_stdout(printed):
                 args = parser.parse_args(argv)
         except SystemExit as exc:
-            # a usage error prints nothing here, and an empty write can fail too
-            if printed.tell():
-                sys.stdout.write(printed.getvalue())
+            # only --help and --version exit here; a usage error raises InputError
+            sys.stdout.write(printed.getvalue())
             code = int(exc.code or 0)
         else:
             code = _RUNNERS[args.command](args, argv)

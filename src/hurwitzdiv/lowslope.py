@@ -90,6 +90,8 @@ class DivisorRecipe(Validated, namedtuple(
         if _avoidance_line(m) not in self.hypotheses:
             raise InputError(f"the hypotheses do not state avoidance of the {m}-gonal locus")
         recomputed = slope(self.divisor_class)
+        if recomputed is None:
+            raise InputError("the class has no slope (it needs lambda > 0 and every delta_i < 0)")
         if recomputed != self.slope:
             raise InputError(f"stored slope {self.slope} != recomputed {recomputed}")
 

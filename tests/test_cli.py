@@ -163,21 +163,12 @@ def test_scan_csv_certified_set(capsys):
     assert "certified stack: 10" in err
 
 
-def test_scan_writes_csv_file(tmp_path, capsys):
-    out_path = tmp_path / "table.csv"
-    code, out, _ = run_cli(capsys, ["scan", "--k", "4", "4", "--g", "7", "7", "--out", str(out_path)])
+def test_scan_writes_csv_file(capsys):
+    # the table goes to stdout, as `> table.csv` would write it; the summary to stderr
+    code, out, err = run_cli(capsys, ["scan", "--k", "4", "4", "--g", "7", "7", "--format", "csv"])
     assert code == 0
-    assert "certified stack: 1" in out
-    content = out_path.read_text(encoding="utf-8")
-    assert "SyzygyG7" in content
-    assert content.splitlines()[1].startswith("7,4,SyzygyG7,54/7,Certified,Certified")
-
-
-def test_scan_io_error_exit_three(tmp_path, capsys):
-    bad_path = tmp_path / "missing-dir" / "table.csv"
-    code, _, err = run_cli(capsys, ["scan", "--k", "4", "4", "--g", "7", "7", "--out", str(bad_path)])
-    assert code == 3
-    assert "cannot write" in err
+    assert out.splitlines()[1].startswith("7,4,SyzygyG7,54/7,Certified,Certified")
+    assert err == "cells: 1; certified stack: 1; certified coarse: 1\n"
 
 
 def test_scan_empty_range(capsys):
@@ -244,6 +235,27 @@ def test_usage_error_exit_two(capsys):
     capsys.readouterr()
     assert main(["verify", "stack"]) == 2  # missing --g/--k
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan", "--g", "6", "7"],
+        ["verify", "stack", "--g", "x", "--k", "3"],
+        ["verify", "stack", "--k", "3"],
+        ["classes", "nope"],
+        ["oracle", "--k", "3", "--mu", "3"],
+        ["verify", "--bogus"],
+        ["scan", "--k", "3", "3", "--g", "6", "6", "--out", "t.csv"],
+        ["verify", "stack", "--g", "8", "--k", "3", "a\nb\r"],
+    ],
+    ids=" ".join,
+)
+def test_usage_error_is_one_error_line(capsys, monkeypatch, tmp_path, args):
+    monkeypatch.chdir(tmp_path)  # a parser that took --out would write here
+    code, out, err = run_cli(capsys, args)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_text_format_has_decimal_hints(capsys):
@@ -341,7 +353,9 @@ def test_usage_error_with_full_stdout_exits_two():
     env = dict(_cli_env(), PYTHONUNBUFFERED="1")
     proc = _run_into_full_device(["verify", "--bogus"], env)
     assert proc.returncode == 2
-    assert "hurwitzdiv verify: error:" in proc.stderr
+    assert proc.stderr == (
+        "error: hurwitzdiv verify: the following arguments are required: mode, --g, --k\n"
+    )
 
 
 def test_help_and_version_print_to_stdout(capsys):

@@ -18,7 +18,7 @@ from hurwitzdiv import (
     verify_stack,
     weierstrass_class,
 )
-from hurwitzdiv.lowslope import DivisorRecipe
+from hurwitzdiv.lowslope import DivisorRecipe, _avoidance_line
 from hurwitzdiv.partitions import OracleReport, partition_table
 from hurwitzdiv.pushpull import QuadraticClass, multiply
 from hurwitzdiv.spaces import DivisorClass, Space, space_mg_pointed
@@ -72,8 +72,16 @@ def _recipe_fields() -> dict:
         lambda: Space(kind="bogus"),
         lambda: DivisorRecipe(*_recipe_fields().values()),
         lambda: DivisorRecipe(**_recipe_fields()),
+        # lambda alone has no slope; None == None must not pass the slope check
+        lambda: DivisorRecipe(
+            "UserSupplied", 8, DivisorClass.make(space_mg(8), {"lambda": 1}), None,
+            ("effective (assumed)", _avoidance_line(3)), 3,
+        ),
     ],
-    ids=["partition", "partition-keyword", "space", "space-keyword", "recipe", "recipe-keyword"],
+    ids=[
+        "partition", "partition-keyword", "space", "space-keyword", "recipe", "recipe-keyword",
+        "recipe-no-slope",
+    ],
 )
 def test_checked_records_reject_bad_fields_by_position_and_keyword(build):
     with pytest.raises(InputError):
