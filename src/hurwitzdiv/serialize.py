@@ -14,10 +14,13 @@ plus a final newline, so identical inputs yield byte-identical documents.
 It writes a list of more than 1,024 items one chunk of items at a time, so
 the command line streams a large certificate to stdout without holding its
 whole text; `dumps_canonical` collects the same chunks into one string.  It
-writes only str, int, bool, None, list and dict with str keys, and raises
-InvariantError on any other value, a float included, possibly after earlier
-chunks have been written.  Every `*_to_obj` has a `*_from_obj`
-inverse and the round trip is exact, NoDivisor certificates included; only
+writes only str, int, bool, None, list, map and dict with str keys, and
+raises InvariantError on any other value, a float or a tuple included,
+possibly after earlier chunks have been written.  A map is an array,
+consumed once as it is written: `emit` passes the row tables of a
+certificate and of a Hurwitz class as maps, so no command holds all of its
+JSON rows.  Every `*_to_obj` has a `*_from_obj` inverse (its row tables are
+lists) and the round trip is exact, NoDivisor certificates included; only
 the oracle report has no decoder.  CSV uses LF line endings and a header
 row, and its columns are keys of the JSON rows (the cover-space class table
 adds m_mu).  Text rendering is for human eyes only and may add a
@@ -32,6 +35,7 @@ import io
 import re
 from collections.abc import Callable, Iterable
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -208,20 +212,27 @@ def divisor_class_text(divisor: DivisorClass) -> str:
 # -- Hurwitz classes ---------------------------------------------------------
 
 
+def _coefficient_rows(cls: HurwitzClass) -> map:
+    """The JSON rows of the coefficients, each made as it is drawn."""
+
+    def row(coefficient: tuple[tuple[int, tuple[int, ...]], Fraction]) -> dict:
+        (i, parts), value = coefficient
+        return {
+            "i": i,
+            "mu": list(parts),
+            "prime": (i, parts) in cls.branch_marks,
+            "value": rational_str(value),
+        }
+
+    return map(row, cls.coeffs)
+
+
+def _hurwitz_class_obj(cls: HurwitzClass, rows: Callable[[map], Iterable] = iter) -> dict:
+    return {"g": cls.g, "k": cls.k, "coefficients": rows(_coefficient_rows(cls))}
+
+
 def hurwitz_class_to_obj(cls: HurwitzClass) -> dict:
-    return {
-        "g": cls.g,
-        "k": cls.k,
-        "coefficients": [
-            {
-                "i": i,
-                "mu": list(parts),
-                "prime": (i, parts) in cls.branch_marks,
-                "value": rational_str(value),
-            }
-            for (i, parts), value in cls.coeffs
-        ],
-    }
+    return _hurwitz_class_obj(cls, list)
 
 
 @_decoder
@@ -239,10 +250,8 @@ def hurwitz_class_from_obj(obj: dict) -> HurwitzClass:
 
 def hurwitz_class_csv(cls: HurwitzClass) -> str:
     # m_mu is the one column that the JSON rows do not carry
-    rows = hurwitz_class_to_obj(cls)["coefficients"]
     lcms = {row.mu.parts: row.lcm for row in partition_table(cls.k)}
-    for row in rows:
-        row["m_mu"] = lcms[tuple(row["mu"])]
+    rows = ({**row, "m_mu": lcms[tuple(row["mu"])]} for row in _coefficient_rows(cls))
     return json_rows_csv(["i", "mu", "m_mu", "value"], rows)
 
 
@@ -298,27 +307,32 @@ def recipe_text(recipe: DivisorRecipe) -> str:
 # -- certificates ------------------------------------------------------------
 
 
-def certificate_to_obj(cert: BignessCertificate) -> dict:
+def _index_row(entry: IndexMargin) -> dict:
+    return {
+        "i": entry.index.i,
+        "mu": list(entry.index.mu.parts),
+        "margin": rational_str(entry.margin),
+        "sigma_bound": rational_str(entry.sigma_bound),
+        "sharp": entry.sharp,
+        "note": entry.note,
+    }
+
+
+def _certificate_obj(cert: BignessCertificate, rows: Callable[[map], Iterable] = iter) -> dict:
     return {
         "g": cert.g,
         "k": cert.k,
         "mode": cert.mode,
         "slope": _optional_rational_str(cert.slope_used),
         "alpha": _optional_rational_str(cert.alpha),
-        "indices": [
-            {
-                "i": entry.index.i,
-                "mu": list(entry.index.mu.parts),
-                "margin": rational_str(entry.margin),
-                "sigma_bound": rational_str(entry.sigma_bound),
-                "sharp": entry.sharp,
-                "note": entry.note,
-            }
-            for entry in cert.per_index
-        ],
+        "indices": rows(map(_index_row, cert.per_index)),
         "hypotheses": list(cert.hypotheses),
         "verdict": cert.verdict,
     }
+
+
+def certificate_to_obj(cert: BignessCertificate) -> dict:
+    return _certificate_obj(cert, list)
 
 
 @_decoder
@@ -355,7 +369,7 @@ def certificate_from_obj(obj: dict) -> BignessCertificate:
 
 def certificate_csv(cert: BignessCertificate) -> str:
     columns = ["i", "mu", "margin", "sigma_bound", "sharp", "note"]
-    return json_rows_csv(columns, certificate_to_obj(cert)["indices"])
+    return json_rows_csv(columns, map(_index_row, cert.per_index))
 
 
 def certificate_text(cert: BignessCertificate) -> str:
@@ -484,12 +498,13 @@ def oracle_report_text(report: OracleReport) -> str:
 
 # -- the emitted payload types -------------------------------------------------
 
-# {payload type: (json payload, csv, text)}: every type a command emits, and nothing else
+# {payload type: (json payload, csv, text)}: every type a command emits, and nothing else.
+# The two row tables stay maps (`iter` of a map is the map), made as the writer draws them.
 _RENDERERS: dict[type, tuple[Callable, Callable, Callable]] = {
     DivisorClass: (divisor_class_to_obj, divisor_class_csv, divisor_class_text),
-    HurwitzClass: (hurwitz_class_to_obj, hurwitz_class_csv, hurwitz_class_text),
+    HurwitzClass: (_hurwitz_class_obj, hurwitz_class_csv, hurwitz_class_text),
     DivisorRecipe: (recipe_to_obj, recipe_csv, recipe_text),
-    BignessCertificate: (certificate_to_obj, certificate_csv, certificate_text),
+    BignessCertificate: (_certificate_obj, certificate_csv, certificate_text),
     ScanTable: (scan_table_to_obj, scan_table_csv, scan_table_text),
     OracleReport: (oracle_report_to_obj, oracle_report_csv, oracle_report_text),
 }
@@ -499,9 +514,11 @@ def emit(value, fmt: str, argv: list[str], write: Callable[[str], object]) -> No
     """Write `value` in format `fmt` ("json", "csv" or "text"); no other renderer runs.
 
     JSON is the payload in the versioned envelope of the command `argv`.  The
-    payload is built in full before the first write, so an error while
-    building it writes nothing.  A type with no renderers raises
-    InvariantError.
+    records in `value` are built and checked before this is called, so an
+    input or hypothesis error writes nothing.  The row tables of a
+    certificate and of a Hurwitz class are made a chunk of rows at a time as
+    they are written, so an InvariantError while making a row may follow
+    earlier chunks.  A type with no renderers raises InvariantError.
     """
     try:
         to_obj, to_csv, to_text = _RENDERERS[type(value)]
@@ -520,15 +537,16 @@ def emit(value, fmt: str, argv: list[str], write: Callable[[str], object]) -> No
         write((to_csv if fmt == "csv" else to_text)(value))
 
 
-# A list longer than this is written one chunk of items at a time.
+# A list or map longer than this is written one chunk of items at a time.
 _CHUNK = 1024
 
 
 def dumps_canonical(obj: dict) -> str:
     """The text of `json.dumps(obj, sort_keys=True, indent=2)` plus a final newline.
 
-    Only str, int, bool, None, list and dict with str keys are written; any
-    other value, such as a float, a Fraction or a tuple, raises InvariantError.
+    Only str, int, bool, None, list, map and dict with str keys are written;
+    any other value, such as a float, a Fraction or a tuple, raises
+    InvariantError.
     """
     chunks: list[str] = []
     write_canonical(obj, chunks.append)
@@ -538,10 +556,11 @@ def dumps_canonical(obj: dict) -> str:
 def write_canonical(obj: dict, write: Callable[[str], object]) -> None:
     """Pass the text of `dumps_canonical(obj)` to `write`, in order, in a few chunks.
 
-    Each call gets one join of pending pieces.  A list of more than `_CHUNK`
-    items, at the top or reached through objects, is written a chunk of
-    items at a time, so the text held at once does not grow with its length.
-    An error may come after some chunks have been written.
+    Each call gets one join of pending pieces.  A list or map of more than
+    `_CHUNK` items, at the top or reached through objects, is written a
+    chunk of items at a time, so neither the text nor the items of a map
+    held at once grow with its length.  An error may come after some chunks
+    have been written.
     """
     pending: list[str] = []
     _put(obj, 0, pending, write)
@@ -559,20 +578,17 @@ def _flush(out: list[str], write: Callable[[str], object]) -> None:
 def _put(value, depth: int, out: list[str], write: Callable[[str], object] | None) -> None:
     """Append the text of one JSON value, in the layout of `json.dumps(sort_keys=True, indent=2)`.
 
-    `write` is passed down through objects only.  A list that has it joins
-    each item, rendered with `write=None`, into one piece, and once it has
-    more than `_CHUNK` items it writes `out` through `write` after each
-    chunk but the last.
+    `write` is passed down through objects only.  A list or map that has it
+    draws `_CHUNK` items at a time, joins each item, rendered with
+    `write=None`, into one piece, and writes `out` through `write` after
+    each chunk but the last.
     """
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
     elif kind is int:
         out.append(repr(value))
-    elif kind is list:
-        if not value:
-            out.append("[]")
-            return
+    elif kind is list or kind is map:
         inner = "\n" + "  " * (depth + 1)
         out.append("[")
         if write is None:
@@ -581,16 +597,18 @@ def _put(value, depth: int, out: list[str], write: Callable[[str], object] | Non
                 _put(item, depth + 1, out, None)
                 out.append(",")
         else:
-            # one piece per item keeps the pieces of a chunk few and short-lived
-            for start in range(0, len(value), _CHUNK):
-                if start:
+            items = iter(value)
+            while chunk := list(islice(items, _CHUNK)):
+                if out[-1] == ",":  # an earlier chunk is pending
                     _flush(out, write)
-                for item in value[start : start + _CHUNK]:
+                # one piece per item keeps the pieces of a chunk few and short-lived
+                for item in chunk:
                     piece = [inner]
                     _put(item, depth + 1, piece, None)
                     out += ("".join(piece), ",")
-        # the last item's comma becomes the closing line
-        out[-1] = "\n" + "  " * depth + "]"
+                del chunk  # a map made these items: drop them before drawing more
+        # the last item's comma becomes the closing line; with no item, "[" closes at once
+        out[-1] = "\n" + "  " * depth + "]" if out[-1] == "," else "[]"
     elif kind is dict:
         if not value:
             out.append("{}")

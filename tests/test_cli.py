@@ -376,6 +376,7 @@ to_obj, to_csv, to_text = serialize._RENDERERS[BignessCertificate]
 
 def broken(cert):
     obj = to_obj(cert)
+    obj["indices"] = list(obj["indices"])  # the rows that emit writes are a map
     obj["indices"][-1]["margin"] = 0.5
     return obj
 

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import hurwitzdiv.hurwitz as hurwitz
 from hurwitzdiv import (
+    BignessCertificate,
     DivisorClass,
+    HurwitzClass,
     InputError,
     InvariantError,
     Partition,
@@ -26,6 +28,7 @@ from hurwitzdiv import (
     space_mg_pointed,
     verify_coarse,
     verify_stack,
+    __version__,
     weierstrass_class,
 )
 from hurwitzdiv.bigness import MODE_COARSE, MODE_STACK, no_divisor_certificate
@@ -263,6 +266,50 @@ def test_emit_rejects_a_type_with_no_renderers(fmt):
     with pytest.raises(InvariantError, match="no renderer for QuadraticClass"):
         emit(QuadraticClass.make(space_mg_pointed(3), {}), fmt, ["x"], chunks.append)
     assert chunks == []
+
+
+_EMITTED = {
+    "verify stack --g 1000 --k 10": lambda: verify_stack(1000, 10, best_recipe(1000, 10)),
+    "verify coarse --g 1000 --k 10": lambda: verify_coarse(1000, 10, best_recipe(1000, 10)),
+    "verify stack --g 2 --k 3": lambda: no_divisor_certificate(2, 3, MODE_STACK),
+    "classes hodge --g 1000 --k 10": lambda: hodge_class(1000, 10),
+    "classes empty --g 5 --k 3": lambda: HurwitzClass.make(5, 3, {}),
+}
+
+
+@pytest.mark.parametrize("command", list(_EMITTED))
+def test_emit_writes_the_text_of_the_list_built_envelope(command):
+    value = _EMITTED[command]()
+    to_obj = certificate_to_obj if isinstance(value, BignessCertificate) else hurwitz_class_to_obj
+    envelope = {
+        "command": "hurwitzdiv " + command,
+        "format": "json",
+        "payload": to_obj(value),
+        "payload_type": type(value).__name__,
+        "tool_version": __version__,
+    }
+    chunks: list[str] = []
+    emit(value, "json", command.split(), chunks.append)
+    text = "".join(chunks)
+    assert text == dumps_canonical(envelope)
+    assert text == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    rows = envelope["payload"].get("indices", envelope["payload"].get("coefficients"))
+    assert len(chunks) == max(1, -(-len(rows) // 1024))
+    if command == "verify stack --g 2 --k 3":
+        assert json.loads(text)["payload"]["indices"] == []
+
+
+def test_emitting_a_certificate_holds_few_of_its_rows():
+    cert = verify_stack(1000, 10, best_recipe(1000, 10))
+    tracemalloc.start()
+    try:
+        emit(cert, "json", ["verify"], lambda chunk: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 21,104 row dicts and their text take about 10 MB when built in full
+    assert len(cert.per_index) > 20_000
+    assert peak <= 2 * 2**20, peak
 
 
 def test_json_rows_csv_prints_lists_like_partitions():
@@ -618,3 +665,29 @@ def test_write_canonical_rejects_a_late_float_after_writing_earlier_chunks():
         write_canonical({"rows": list(range(3000)) + [0.5]}, chunks.append)
     assert len(chunks) == 2
     assert "".join(chunks).startswith('{\n  "rows": [\n    0,')
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+def test_write_canonical_writes_a_map_as_the_equal_list(n):
+    rows = [{"i": j, "mu": [j % 7 + 1, 1]} for j in range(n)]
+    for as_list, as_map in (
+        (rows, map(dict, rows)),
+        ({"payload": {"rows": rows}}, {"payload": {"rows": map(dict, rows)}}),
+        ([rows, "x"], [map(dict, rows), "x"]),
+    ):
+        assert _collected(as_map) == _collected(as_list)
+
+
+def test_write_canonical_rejects_a_late_float_in_a_map_after_writing_earlier_chunks():
+    chunks: list[str] = []
+    with pytest.raises(InvariantError):
+        rows = map(lambda j: 0.5 if j == 3000 else j, range(3001))
+        write_canonical({"rows": rows}, chunks.append)
+    assert len(chunks) == 2
+    assert "".join(chunks).startswith('{\n  "rows": [\n    0,')
+
+
+def test_write_canonical_writes_no_tuple_nor_iterable_but_a_map():
+    for rows in (map(tuple, [[1]]), (row for row in [1]), iter([1]), range(1)):
+        with pytest.raises(InvariantError):
+            dumps_canonical({"rows": rows})
