@@ -17,8 +17,9 @@ included), 4 internal invariant violated (a bug; stdout may hold part of a
 document).  Each error writes one line to stderr; a usage error is one
 `error:` line, exits 2 and writes nothing to stdout.  Output goes to stdout,
 and the summary line of `scan` to stderr.  Output formats: json (default;
-deterministic, key-sorted envelope; its records are built and checked
-first, then its rows are made and streamed a chunk at a time), csv, text.
+deterministic, key-sorted envelope), csv, text.  In every format the records
+are built and checked first, then the rows or lines are made and streamed
+1,024 at a time, so exit 4 may follow earlier chunks.
 Rationals are read and written as "p/q" strings; floats are never accepted.
 The environment variable HURWITZ_MAX_K (default 10) caps k as a resource
 guard on the partition lattice.

@@ -88,8 +88,7 @@ def boundary_index_set(g: int, k: int) -> list[BoundaryIndex]:
     of the cover is not imposed, so this is a conservative superset of the
     nonempty boundary divisors.
     """
-    _check_gk(g, k)
-    return list(_boundary_indices(g, k))
+    return _boundary_indices(g, k)
 
 
 def boundary_index(g: int, k: int, i: int, parts: tuple[int, ...]) -> BoundaryIndex:
@@ -122,20 +121,18 @@ def _index_range(b: int, drop: int) -> range:
     return range(drop if drop >= 2 else drop + 2, b // 2 + 1, 2)
 
 
-# A command reads the index set of one (g, k), ~21k indices at g = 1000: keep the last few.
-@lru_cache(maxsize=8)
-def _boundary_indices(g: int, k: int) -> tuple[BoundaryIndex, ...]:
+def _boundary_indices(g: int, k: int) -> list[BoundaryIndex]:
     b = _check_gk(g, k)
     # the indices of a partition are i0, i0 + 2, ...: each i takes the
     # partitions of its parity with i0 <= i
     starts = [(row.mu, _index_range(b, row.drop)[0]) for row in partition_table(k)]
     by_parity = [[(mu, i0) for mu, i0 in starts if i0 % 2 == parity] for parity in (0, 1)]
-    return tuple(
+    return [
         BoundaryIndex(i, mu)
         for i in range(2, b // 2 + 1)
         for mu, i0 in by_parity[i % 2]
         if i0 <= i
-    )
+    ]
 
 
 def _index_rank(g: int, k: int) -> Callable[[IndexKey], tuple[int, int]]:

@@ -21,9 +21,12 @@ consumed once as it is written: `emit` passes the row tables of a
 certificate and of a Hurwitz class as maps, so no command holds all of its
 JSON rows.  Every `*_to_obj` has a `*_from_obj` inverse (its row tables are
 lists) and the round trip is exact, NoDivisor certificates included; only
-the oracle report has no decoder.  CSV uses LF line endings and a header
-row, and its columns are keys of the JSON rows (the cover-space class table
-adds m_mu).  Text rendering is for human eyes only and may add a
+the oracle report has no decoder.  The csv and text renderers are
+generators of LF-ended lines, which `emit` writes 1,024 at a time: every
+format goes out 1,024 rows or lines at a time, and an error while making
+one may follow earlier chunks, in any format.  CSV has a header row, and
+its columns are keys of the JSON rows (the cover-space class table adds
+m_mu).  Text rendering is for human eyes only and may add a
 6-significant-digit decimal hint next to the exact value.
 """
 
@@ -31,12 +34,12 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__
 from .bigness import (
@@ -105,13 +108,13 @@ def _csv_cell(value):
     return "[" + ",".join(map(str, value)) + "]" if isinstance(value, list) else value
 
 
-def json_rows_csv(columns: list[str], rows: Iterable[dict]) -> str:
-    """A CSV document of the named keys of JSON rows: a header, then LF-ended lines."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_csv_cell(row[key]) for key in columns] for row in rows)
-    return buffer.getvalue()
+def json_rows_csv(columns: list[str], rows: Iterable[dict]) -> Iterator[str]:
+    """The LF-ended lines of a CSV document of the named keys of JSON rows, header first."""
+    line: list[str] = []  # the writer passes each row's line to `write` in one call
+    writer = csv.writer(SimpleNamespace(write=line.append), lineterminator="\n")
+    for cells in chain([columns], ([_csv_cell(row[key]) for key in columns] for row in rows)):
+        writer.writerow(cells)
+        yield line.pop()
 
 
 def parse_partition(text: str) -> Partition:
@@ -192,21 +195,21 @@ def divisor_class_from_obj(obj: dict) -> DivisorClass:
     return DivisorClass.make(space, coeffs)
 
 
-def divisor_class_csv(divisor: DivisorClass) -> str:
+def divisor_class_csv(divisor: DivisorClass) -> Iterator[str]:
     return json_rows_csv(["basis", "value"], divisor_class_to_obj(divisor)["coefficients"])
 
 
-def _coefficient_lines(divisor: DivisorClass) -> list[str]:
-    return [f"  {label:12s} {rational_text(value)}" for label, value in divisor.coeffs]
+def _coefficient_lines(divisor: DivisorClass) -> Iterator[str]:
+    return (f"  {label:12s} {rational_text(value)}\n" for label, value in divisor.coeffs)
 
 
-def _hypotheses_lines(hypotheses: tuple[str, ...]) -> list[str]:
-    return ["hypotheses:", *(f"  - {h}" for h in hypotheses)]
+def _hypotheses_lines(hypotheses: tuple[str, ...]) -> Iterator[str]:
+    return chain(["hypotheses:\n"], (f"  - {h}\n" for h in hypotheses))
 
 
-def divisor_class_text(divisor: DivisorClass) -> str:
-    lines = [f"space: {divisor.space}", *_coefficient_lines(divisor)]
-    return "\n".join(lines) + "\n"
+def divisor_class_text(divisor: DivisorClass) -> Iterator[str]:
+    yield f"space: {divisor.space}\n"
+    yield from _coefficient_lines(divisor)
 
 
 # -- Hurwitz classes ---------------------------------------------------------
@@ -248,19 +251,18 @@ def hurwitz_class_from_obj(obj: dict) -> HurwitzClass:
     return HurwitzClass.make(obj["g"], obj["k"], coeffs, marks)
 
 
-def hurwitz_class_csv(cls: HurwitzClass) -> str:
+def hurwitz_class_csv(cls: HurwitzClass) -> Iterator[str]:
     # m_mu is the one column that the JSON rows do not carry
     lcms = {row.mu.parts: row.lcm for row in partition_table(cls.k)}
     rows = ({**row, "m_mu": lcms[tuple(row["mu"])]} for row in _coefficient_rows(cls))
     return json_rows_csv(["i", "mu", "m_mu", "value"], rows)
 
 
-def hurwitz_class_text(cls: HurwitzClass) -> str:
-    lines = [f"cover space: g={cls.g}, k={cls.k}"]
+def hurwitz_class_text(cls: HurwitzClass) -> Iterator[str]:
+    yield f"cover space: g={cls.g}, k={cls.k}\n"
     for (i, parts), value in cls.coeffs:
         mark = "'" if (i, parts) in cls.branch_marks else ""
-        lines.append(f"  i={i:<3d} mu={str(Partition(parts)):12s}{mark} {rational_text(value)}")
-    return "\n".join(lines) + "\n"
+        yield f"  i={i:<3d} mu={str(Partition(parts)):12s}{mark} {rational_text(value)}\n"
 
 
 # -- recipes -----------------------------------------------------------------
@@ -289,19 +291,16 @@ def recipe_from_obj(obj: dict) -> DivisorRecipe:
     )
 
 
-def recipe_csv(recipe: DivisorRecipe) -> str:
+def recipe_csv(recipe: DivisorRecipe) -> Iterator[str]:
     return divisor_class_csv(recipe.divisor_class)
 
 
-def recipe_text(recipe: DivisorRecipe) -> str:
-    lines = [
-        f"divisor: {recipe.name} (g={recipe.g})",
-        f"slope:   {rational_text(recipe.slope)}",
-        "class:",
-        *_coefficient_lines(recipe.divisor_class),
-        *_hypotheses_lines(recipe.hypotheses),
-    ]
-    return "\n".join(lines) + "\n"
+def recipe_text(recipe: DivisorRecipe) -> Iterator[str]:
+    yield f"divisor: {recipe.name} (g={recipe.g})\n"
+    yield f"slope:   {rational_text(recipe.slope)}\n"
+    yield "class:\n"
+    yield from _coefficient_lines(recipe.divisor_class)
+    yield from _hypotheses_lines(recipe.hypotheses)
 
 
 # -- certificates ------------------------------------------------------------
@@ -367,33 +366,27 @@ def certificate_from_obj(obj: dict) -> BignessCertificate:
     return cert
 
 
-def certificate_csv(cert: BignessCertificate) -> str:
+def certificate_csv(cert: BignessCertificate) -> Iterator[str]:
     columns = ["i", "mu", "margin", "sigma_bound", "sharp", "note"]
     return json_rows_csv(columns, map(_index_row, cert.per_index))
 
 
-def certificate_text(cert: BignessCertificate) -> str:
-    head = f"bigness certificate: mode={cert.mode}, g={cert.g}, k={cert.k}"
+def certificate_text(cert: BignessCertificate) -> Iterator[str]:
+    yield f"bigness certificate: mode={cert.mode}, g={cert.g}, k={cert.k}\n"
     if cert.verdict == VERDICT_NO_DIVISOR:
-        return (
-            f"{head}\n"
-            "verdict: NoDivisor (no built-in divisor of slope below 8 serves this cell)\n"
-        )
-    lines = [
-        head,
-        f"slope: {rational_text(cert.slope_used)}",
-        f"alpha: {rational_text(cert.alpha)}",
-        f"verdict: {cert.verdict}",
-        "margins:",
-    ]
+        yield "verdict: NoDivisor (no built-in divisor of slope below 8 serves this cell)\n"
+        return
+    yield f"slope: {rational_text(cert.slope_used)}\n"
+    yield f"alpha: {rational_text(cert.alpha)}\n"
+    yield f"verdict: {cert.verdict}\n"
+    yield "margins:\n"
     for entry in cert.per_index:
         note = f"  [{entry.note}]" if entry.note else ""
-        lines.append(
+        yield (
             f"  i={entry.index.i:<3d} mu={str(entry.index.mu):12s} "
-            f"margin {rational_text(entry.margin)}{note}"
+            f"margin {rational_text(entry.margin)}{note}\n"
         )
-    lines += _hypotheses_lines(cert.hypotheses)
-    return "\n".join(lines) + "\n"
+    yield from _hypotheses_lines(cert.hypotheses)
 
 
 # -- scan tables -------------------------------------------------------------
@@ -445,20 +438,19 @@ def scan_table_from_obj(obj: dict) -> ScanTable:
     return ScanTable(tuple(_scan_row_from_obj(entry) for entry in _field(obj, "rows", list)))
 
 
-def scan_table_csv(table: ScanTable) -> str:
+def scan_table_csv(table: ScanTable) -> Iterator[str]:
     columns = ["g", "k", "recipe", "slope", "stack_verdict", "coarse_verdict", "min_margin"]
     return json_rows_csv(columns, scan_table_to_obj(table)["rows"])
 
 
-def scan_table_text(table: ScanTable) -> str:
-    lines = ["g    k    recipe            slope         stack      coarse"]
+def scan_table_text(table: ScanTable) -> Iterator[str]:
+    yield "g    k    recipe            slope         stack      coarse\n"
     for row in table.rows:
         slope = rational_str(row.slope) if row.slope is not None else "-"
-        lines.append(
+        yield (
             f"{row.g:<4d} {row.k:<4d} {row.recipe:<17s} {slope:<13s} "
-            f"{row.stack_verdict:<10s} {row.coarse_verdict}"
+            f"{row.stack_verdict:<10s} {row.coarse_verdict}\n"
         )
-    return "\n".join(lines) + "\n"
 
 
 def scan_summary_text(table: ScanTable) -> str:
@@ -482,24 +474,23 @@ def oracle_report_to_obj(report: OracleReport) -> dict:
     }
 
 
-def oracle_report_csv(report: OracleReport) -> str:
+def oracle_report_csv(report: OracleReport) -> Iterator[str]:
     obj = oracle_report_to_obj(report)
     return json_rows_csv(list(obj), [obj])
 
 
-def oracle_report_text(report: OracleReport) -> str:
-    return (
-        f"k={report.mu.weight} mu={report.mu} i={report.i}\n"
-        f"count:    {report.count}\n"
-        f"feasible: {report.feasible}\n"
-        f"agree:    {report.agree}\n"
-    )
+def oracle_report_text(report: OracleReport) -> Iterator[str]:
+    yield f"k={report.mu.weight} mu={report.mu} i={report.i}\n"
+    yield f"count:    {report.count}\n"
+    yield f"feasible: {report.feasible}\n"
+    yield f"agree:    {report.agree}\n"
 
 
 # -- the emitted payload types -------------------------------------------------
 
-# {payload type: (json payload, csv, text)}: every type a command emits, and nothing else.
-# The two row tables stay maps (`iter` of a map is the map), made as the writer draws them.
+# {payload type: (json payload, csv lines, text lines)}: every type a command emits, and
+# nothing else.  The two JSON row tables stay maps (`iter` of a map is the map), and the csv
+# and text renderers are generators of LF-ended lines: each row is made as it is written.
 _RENDERERS: dict[type, tuple[Callable, Callable, Callable]] = {
     DivisorClass: (divisor_class_to_obj, divisor_class_csv, divisor_class_text),
     HurwitzClass: (_hurwitz_class_obj, hurwitz_class_csv, hurwitz_class_text),
@@ -515,10 +506,12 @@ def emit(value, fmt: str, argv: list[str], write: Callable[[str], object]) -> No
 
     JSON is the payload in the versioned envelope of the command `argv`.  The
     records in `value` are built and checked before this is called, so an
-    input or hypothesis error writes nothing.  The row tables of a
-    certificate and of a Hurwitz class are made a chunk of rows at a time as
-    they are written, so an InvariantError while making a row may follow
-    earlier chunks.  A type with no renderers raises InvariantError.
+    input or hypothesis error writes nothing.  Every format is written
+    `_CHUNK` rows or lines at a time, one `write` call each: JSON through
+    `write_canonical`, csv and text by joining the next `_CHUNK` lines of
+    their renderer.  So no document is held whole, and an InvariantError
+    while making a row or line may follow earlier chunks, in any format.  A
+    type with no renderers raises InvariantError.
     """
     try:
         to_obj, to_csv, to_text = _RENDERERS[type(value)]
@@ -533,11 +526,14 @@ def emit(value, fmt: str, argv: list[str], write: Callable[[str], object]) -> No
             "tool_version": __version__,
         }
         write_canonical(envelope, write)
-    else:
-        write((to_csv if fmt == "csv" else to_text)(value))
+        return
+    lines = (to_csv if fmt == "csv" else to_text)(value)
+    while chunk := list(islice(lines, _CHUNK)):
+        write("".join(chunk))
 
 
-# A list or map longer than this is written one chunk of items at a time.
+# A JSON list or map, or a csv or text document, longer than this is written one chunk
+# of items or lines at a time.
 _CHUNK = 1024
 
 

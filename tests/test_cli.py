@@ -315,6 +315,30 @@ def test_closed_stdout_exits_three_with_one_line(args, lines_read):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_closed_stdout_exits_three_with_one_line_in_csv_and_text(fmt, unbuffered):
+    # the pipe closes while the chunks of a 1.5 MB document are written; unbuffered,
+    # one write of the whole document would lose its tail to a short write unreported
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    args = ["verify", "stack", "--g", "1000", "--k", "10", "--format", fmt]
+    with subprocess.Popen(
+        [sys.executable, "-m", "hurwitzdiv.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.read(1)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 3
+    assert len(err.splitlines()) == 1 and err.startswith("i/o error:"), err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 _NO_FULL_DEVICE = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 

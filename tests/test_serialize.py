@@ -152,7 +152,7 @@ def test_hurwitz_class_absent_prime_flag_means_unmarked():
 
 
 def test_hurwitz_class_csv_layout():
-    text = hurwitz_class_csv(hodge_class(2, 3))
+    text = "".join(hurwitz_class_csv(hodge_class(2, 3)))
     lines = text.splitlines()
     assert lines[0] == "i,mu,m_mu,value"
     assert lines[1] == "2,[3],3,-1/42"
@@ -162,7 +162,7 @@ def test_hurwitz_class_csv_layout():
 
 
 def test_divisor_class_csv_layout():
-    text = divisor_class_csv(weierstrass_class(2))
+    text = "".join(divisor_class_csv(weierstrass_class(2)))
     assert text.splitlines() == ["basis,value", "lambda,-1", "psi,3", "delta_1,-1"]
 
 
@@ -299,24 +299,45 @@ def test_emit_writes_the_text_of_the_list_built_envelope(command):
         assert json.loads(text)["payload"]["indices"] == []
 
 
-def test_emitting_a_certificate_holds_few_of_its_rows():
-    cert = verify_stack(1000, 10, best_recipe(1000, 10))
+_LARGE = {
+    "verify stack --g 1000 --k 10": lambda: verify_stack(1000, 10, best_recipe(1000, 10)),
+    "classes canonical-coarse --g 1000 --k 10": lambda: canonical_class_coarse(1000, 10),
+}
+
+
+@pytest.fixture(scope="module", params=list(_LARGE))
+def large_record(request):
+    return _LARGE[request.param]()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_emitting_a_certificate_holds_few_of_its_rows(large_record, fmt):
     tracemalloc.start()
     try:
-        emit(cert, "json", ["verify"], lambda chunk: None)
+        emit(large_record, fmt, ["verify"], lambda chunk: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 21,104 row dicts and their text take about 10 MB when built in full
-    assert len(cert.per_index) > 20_000
+    # the 21,104 rows, as JSON dicts or as text, take 2.5 to 10 MB when built in full
+    cert = isinstance(large_record, BignessCertificate)
+    assert len(large_record.per_index if cert else large_record.coeffs) > 20_000
     assert peak <= 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_emit_writes_csv_and_text_a_chunk_of_lines_at_a_time(large_record, fmt):
+    chunks: list[str] = []
+    emit(large_record, fmt, ["verify"], chunks.append)
+    lines = "".join(chunks).count("\n")
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert len(chunks) == -(-lines // 1024) == 21
 
 
 def test_json_rows_csv_prints_lists_like_partitions():
     rows = [{"mu": [2, 1], "n": 3, "x": "-1/2"}]
-    assert json_rows_csv(["mu", "n"], rows) == 'mu,n\n"[2,1]",3\n'
-    assert json_rows_csv(["mu"], rows).splitlines()[1] == f'"{Partition((2, 1))}"'
-    assert json_rows_csv(["mu", "n"], []) == "mu,n\n"
+    assert "".join(json_rows_csv(["mu", "n"], rows)) == 'mu,n\n"[2,1]",3\n'
+    assert "".join(json_rows_csv(["mu"], rows)).splitlines()[1] == f'"{Partition((2, 1))}"'
+    assert "".join(json_rows_csv(["mu", "n"], [])) == "mu,n\n"
 
 
 _ENCODED = {
@@ -542,14 +563,14 @@ def test_scan_payload_round_trips(capsys):
 
 
 def test_certificate_csv_header():
-    text = certificate_csv(verify_stack(8, 3, best_recipe(8, 3)))
+    text = "".join(certificate_csv(verify_stack(8, 3, best_recipe(8, 3))))
     assert text.splitlines()[0] == "i,mu,margin,sigma_bound,sharp,note"
 
 
 def test_scan_table_round_trip_and_csv():
     table = scan(3, 4, 6, 10)
     assert scan_table_from_obj(scan_table_to_obj(table)) == table
-    text = scan_table_csv(table)
+    text = "".join(scan_table_csv(table))
     lines = text.splitlines()
     assert lines[0] == "g,k,recipe,slope,stack_verdict,coarse_verdict,min_margin"
     assert len(lines) == len(table.rows) + 1
