@@ -179,15 +179,19 @@ class BignessCertificate(namedtuple(
         return self.verdict == VERDICT_CERTIFIED
 
     def consistent(self) -> bool:
-        """Does the verdict agree with the certificate's own margins and alpha?
+        """Does the verdict agree with the certificate's own mode, margins and alpha?
 
-        NoDivisor needs no slope, alpha or indices.  Otherwise the verdict
-        must be the one that alpha and the least margin give.  This checks
-        the record against itself and re-derives no margin.
+        The mode must be Stack or Coarse.  NoDivisor needs no slope, alpha,
+        indices or hypotheses.  Otherwise the verdict must be the one that
+        alpha and the least margin give.  This checks the record against
+        itself and re-derives no margin.
         """
+        if self.mode not in (MODE_STACK, MODE_COARSE):
+            return False
         if self.verdict == VERDICT_NO_DIVISOR:
-            return self.slope_used is None and self.alpha is None and not self.per_index
-        if self.mode not in (MODE_STACK, MODE_COARSE) or None in (self.slope_used, self.alpha):
+            empty = not (self.per_index or self.hypotheses)
+            return self.slope_used is None and self.alpha is None and empty
+        if None in (self.slope_used, self.alpha):
             return False
         lowest = min([self.alpha] + [entry.margin for entry in self.per_index])
         return self.verdict == _verdict(self.mode, lowest)

@@ -13,13 +13,13 @@ oracle    count transposition factorizations and compare with the
 
 Exit codes: 0 success / Certified, 1 verification failure or no divisor
 available, 2 usage or hypothesis error, 3 I/O error (a closed or full stdout
-included), 4 internal invariant violated (a bug; stdout may hold part of a
-document).  Each error writes one line to stderr; a usage error is one
-`error:` line, exits 2 and writes nothing to stdout.  Output goes to stdout,
-and the summary line of `scan` to stderr.  Output formats: json (default;
-deterministic, key-sorted envelope), csv, text.  In every format the records
-are built and checked first, then the rows or lines are made and streamed
-1,024 at a time, so exit 4 may follow earlier chunks.
+included, buffered or not), 4 internal invariant violated (a bug; stdout may
+hold part of a document).  Each error writes one line to stderr; a usage
+error is one `error:` line, exits 2 and writes nothing to stdout.  Output goes
+to stdout, and the summary line of `scan` to stderr.  Output formats: json
+(default; deterministic, key-sorted envelope), csv, text.  In every format the
+records are built and checked first, then the rows or lines are made and
+streamed 1,024 at a time, so exit 4 may follow earlier chunks.
 Rationals are read and written as "p/q" strings; floats are never accepted.
 The environment variable HURWITZ_MAX_K (default 10) caps k as a resource
 guard on the partition lattice.
@@ -227,8 +227,24 @@ _RUNNERS = {
 }
 
 
+def _buffer_stdout() -> None:
+    """Put a buffer under an unbuffered stdout, so a short write is retried or fails.
+
+    Unbuffered (`python -u`, PYTHONUNBUFFERED), stdout hands each chunk to its
+    raw file in one write and drops the tail that a short write leaves.
+    """
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(out.buffer), out.encoding, out.errors, write_through=True
+        )
+        # the finalizer of the replaced stream would close the raw file
+        sys.stdout.replaced = out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    _buffer_stdout()
     parser = build_parser()
     printed = io.StringIO()
     try:

@@ -88,7 +88,17 @@ def boundary_index_set(g: int, k: int) -> list[BoundaryIndex]:
     of the cover is not imposed, so this is a conservative superset of the
     nonempty boundary divisors.
     """
-    return _boundary_indices(g, k)
+    b = _check_gk(g, k)
+    # the indices of a partition are i0, i0 + 2, ...: each i takes the
+    # partitions of its parity with i0 <= i
+    starts = [(row.mu, _index_range(b, row.drop)[0]) for row in partition_table(k)]
+    by_parity = [[(mu, i0) for mu, i0 in starts if i0 % 2 == parity] for parity in (0, 1)]
+    return [
+        BoundaryIndex(i, mu)
+        for i in range(2, b // 2 + 1)
+        for mu, i0 in by_parity[i % 2]
+        if i0 <= i
+    ]
 
 
 def boundary_index(g: int, k: int, i: int, parts: tuple[int, ...]) -> BoundaryIndex:
@@ -119,20 +129,6 @@ def _index_range(b: int, drop: int) -> range:
     b - i >= i.  The index set and `_is_index` read this one rule.
     """
     return range(drop if drop >= 2 else drop + 2, b // 2 + 1, 2)
-
-
-def _boundary_indices(g: int, k: int) -> list[BoundaryIndex]:
-    b = _check_gk(g, k)
-    # the indices of a partition are i0, i0 + 2, ...: each i takes the
-    # partitions of its parity with i0 <= i
-    starts = [(row.mu, _index_range(b, row.drop)[0]) for row in partition_table(k)]
-    by_parity = [[(mu, i0) for mu, i0 in starts if i0 % 2 == parity] for parity in (0, 1)]
-    return [
-        BoundaryIndex(i, mu)
-        for i in range(2, b // 2 + 1)
-        for mu, i0 in by_parity[i % 2]
-        if i0 <= i
-    ]
 
 
 def _index_rank(g: int, k: int) -> Callable[[IndexKey], tuple[int, int]]:
@@ -255,7 +251,7 @@ def _row_values(b: int, rows: dict, keys: Iterable[IndexKey]) -> Iterator[Fracti
 def _table_class(g: int, k: int, name: str) -> HurwitzClass:
     """One row of the table as a class: its nonzero values in index order, sharp keys marked."""
     b = _check_gk(g, k)
-    rows, keys = _class_terms(k)[name], [(i, mu.parts) for i, mu in _boundary_indices(g, k)]
+    rows, keys = _class_terms(k)[name], [(i, mu.parts) for i, mu in boundary_index_set(g, k)]
     coeffs = tuple(term for term in zip(keys, _row_values(b, rows, keys)) if term[1])
     return HurwitzClass(g, k, coeffs, frozenset(key for key, _ in coeffs if rows[key[1]][2]))
 
@@ -282,7 +278,7 @@ def _pullback_terms(g: int, k: int, divisor: DivisorClass) -> Iterator[tuple]:
     values = divisor.as_dict()
     weights = [values.get(f"B_{i}", 0) for i in range(b // 2 + 1)]
     lcms = {row.mu.parts: row.lcm for row in partition_table(k)}
-    return (((i, mu.parts), lcms[mu.parts], weights[i]) for i, mu in _boundary_indices(g, k))
+    return (((i, mu.parts), lcms[mu.parts], weights[i]) for i, mu in boundary_index_set(g, k))
 
 
 def branch_pullback(g: int, k: int, divisor: DivisorClass) -> HurwitzClass:

@@ -84,21 +84,6 @@ class Partition(Validated, namedtuple("Partition", "parts")):
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-@lru_cache(maxsize=None)
-def _partition_tuples(k: int) -> tuple[tuple[int, ...], ...]:
-    out: list[tuple[int, ...]] = []
-
-    def descend(remaining: int, cap: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            descend(remaining - part, part, prefix + (part,))
-
-    descend(k, k, ())
-    return tuple(out)
-
-
 def _check_weight(k: int) -> None:
     if not isinstance(k, int) or k < 1 or k > MAX_PARTITION_WEIGHT:
         raise InputError(f"k must be an integer in [1, {MAX_PARTITION_WEIGHT}], got {k!r}")
@@ -140,8 +125,18 @@ class PartitionRow(namedtuple("PartitionRow", "mu lcm harmonic drop")):
 
 @lru_cache(maxsize=16)
 def _partition_table(k: int) -> tuple[PartitionRow, ...]:
-    mus = (Partition(parts) for parts in _partition_tuples(k))
-    return tuple(PartitionRow(mu, lcm_of(mu), harmonic_inverse(mu), k - mu.length) for mu in mus)
+    rows: list[PartitionRow] = []
+
+    def descend(remaining: int, cap: int, prefix: tuple[int, ...]) -> None:
+        if remaining == 0:
+            mu = Partition(prefix)
+            rows.append(PartitionRow(mu, lcm_of(mu), harmonic_inverse(mu), k - mu.length))
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            descend(remaining - part, part, prefix + (part,))
+
+    descend(k, k, ())
+    return tuple(rows)
 
 
 def partition_table(k: int) -> tuple[PartitionRow, ...]:
@@ -188,7 +183,8 @@ def _cut_and_join_table(k: int) -> dict[tuple[int, ...], tuple[tuple[tuple[int, 
     k(k-1)/2 transpositions are returned alongside the resulting types.
     """
     table: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
-    for parts in _partition_tuples(k):
+    for row in partition_table(k):
+        parts = row.mu.parts
         moves: dict[tuple[int, ...], int] = {}
 
         def record(new_parts: tuple[int, ...], mult: int) -> None:
@@ -228,10 +224,9 @@ def transposition_power_vector(k: int, i: int) -> tuple[tuple[Partition, int], .
         raise ResourceError(
             f"counting oracle limited to k <= {MAX_ORACLE_WEIGHT} and i <= {MAX_ORACLE_STEPS}"
         )
-    table = _cut_and_join_table(k)
+    table, mus = _cut_and_join_table(k), partitions_of(k)
     state: dict[tuple[int, ...], int] = {(1,) * k: 1}
     for _ in range(i):
-        # walking the table keeps the state in the order of the enumeration
         new_state: dict[tuple[int, ...], int] = {}
         for parts, moves in table.items():
             total = 0
@@ -242,7 +237,7 @@ def transposition_power_vector(k: int, i: int) -> tuple[tuple[Partition, int], .
             if total:
                 new_state[parts] = total
         state = new_state
-    return tuple((Partition(parts), n) for parts, n in state.items())
+    return tuple((mu, state[mu.parts]) for mu in mus if mu.parts in state)
 
 
 def count_transposition_factorizations(mu: Partition, i: int) -> int:

@@ -54,7 +54,7 @@ from .bigness import (
     ScanTable,
 )
 from .errors import InputError, InvariantError
-from .hurwitz import HurwitzClass, boundary_index
+from .hurwitz import HurwitzClass, _check_gk, boundary_index
 from .lowslope import RECIPE_NAMES, DivisorRecipe
 from .partitions import OracleReport, Partition, partition_table
 from .spaces import KIND_M0B, DivisorClass, Space
@@ -130,12 +130,14 @@ def parse_partition(text: str) -> Partition:
 
 
 def _decoder(decode):
-    """Report a missing key or a field of the wrong JSON type as InputError."""
+    """Name the decoder in an InputError; report a missing key or a wrong JSON type as one."""
 
     @functools.wraps(decode)
     def checked(obj: dict):
         try:
             return decode(obj)
+        except InputError as exc:  # before ValueError, of which it is a kind
+            raise InputError(f"{decode.__name__}: {exc}") from None
         except KeyError as exc:
             raise InputError(f"{decode.__name__}: missing key {exc}") from None
         except (TypeError, AttributeError, ValueError) as exc:
@@ -260,9 +262,10 @@ def hurwitz_class_csv(cls: HurwitzClass) -> Iterator[str]:
 
 def hurwitz_class_text(cls: HurwitzClass) -> Iterator[str]:
     yield f"cover space: g={cls.g}, k={cls.k}\n"
+    mus = {row.mu.parts: row.mu for row in partition_table(cls.k)}
     for (i, parts), value in cls.coeffs:
         mark = "'" if (i, parts) in cls.branch_marks else ""
-        yield f"  i={i:<3d} mu={str(Partition(parts)):12s}{mark} {rational_text(value)}\n"
+        yield f"  i={i:<3d} mu={str(mus[parts]):12s}{mark} {rational_text(value)}\n"
 
 
 # -- recipes -----------------------------------------------------------------
@@ -336,6 +339,7 @@ def certificate_to_obj(cert: BignessCertificate) -> dict:
 
 @_decoder
 def certificate_from_obj(obj: dict) -> BignessCertificate:
+    _check_gk(obj["g"], obj["k"])
     entries = tuple(
         IndexMargin(
             index=boundary_index(obj["g"], obj["k"], entry["i"], tuple(entry["mu"])),
@@ -357,11 +361,11 @@ def certificate_from_obj(obj: dict) -> BignessCertificate:
         verdict=obj["verdict"],
     )
     if any(entry.sharp not in (0, 1) for entry in entries):
-        raise InputError("certificate_from_obj: a sharp flag must be 0 or 1")
+        raise InputError("a sharp flag must be 0 or 1")
     if not cert.consistent():
         raise InputError(
-            f"certificate_from_obj: the verdict {cert.verdict!r} disagrees with the "
-            "certificate's own margins and alpha"
+            f"the verdict {cert.verdict!r} disagrees with the certificate's own mode, "
+            "margins and alpha"
         )
     return cert
 
@@ -422,14 +426,13 @@ def _scan_row_from_obj(entry: dict) -> ScanRow:
         coarse_verdict=_field(entry, "coarse_verdict", str),
         min_margin=_parse_optional_rational(entry["min_margin"]),
     )
-    if row.g < 2 or row.k < 3:
-        raise InputError(f"scan_table_from_obj: a cell needs g >= 2 and k >= 3, got {entry!r}")
+    _check_gk(row.g, row.k)
     if row.recipe not in RECIPE_NAMES + (SCAN_NO_RECIPE,):
-        raise InputError(f"scan_table_from_obj: unknown recipe {row.recipe!r}")
+        raise InputError(f"unknown recipe {row.recipe!r}")
     if row.stack_verdict not in _VERDICTS:
-        raise InputError(f"scan_table_from_obj: unknown stack verdict {row.stack_verdict!r}")
+        raise InputError(f"unknown stack verdict {row.stack_verdict!r}")
     if row.coarse_verdict not in _VERDICTS + (SCAN_COARSE_OUT_OF_RANGE,):
-        raise InputError(f"scan_table_from_obj: unknown coarse verdict {row.coarse_verdict!r}")
+        raise InputError(f"unknown coarse verdict {row.coarse_verdict!r}")
     return row
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -337,6 +338,33 @@ def test_closed_stdout_exits_three_with_one_line_in_csv_and_text(fmt, unbuffered
         assert proc.wait(timeout=60) == 3
     assert len(err.splitlines()) == 1 and err.startswith("i/o error:"), err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+class _ShortWrites(io.RawIOBase):
+    """A raw file that takes at most 4,096 bytes of each write, as a pipe may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        taken = bytes(b[:4096])
+        self.data += taken
+        return len(taken)
+
+
+def test_unbuffered_stdout_writes_every_byte_despite_short_writes(capsys, monkeypatch):
+    # unbuffered, stdout is a text wrapper straight over the raw file, which
+    # ignores the count that a short write returns
+    args = ["verify", "stack", "--g", "200", "--k", "10"]
+    assert main(args) == 0
+    expected = capsys.readouterr().out.encode()
+    raw = _ShortWrites()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-8", write_through=True))
+    assert main(args) == 0
+    assert len(expected) > 100_000 and bytes(raw.data) == expected
 
 
 _NO_FULL_DEVICE = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -32,7 +32,6 @@ from hurwitzdiv import (
 from hurwitzdiv.hurwitz import (
     BoundaryIndex,
     HurwitzClass,
-    _boundary_indices,
     _index_range,
     _is_index,
     boundary_index,
@@ -104,7 +103,7 @@ def test_index_set_enumeration_equals_the_predicate():
                 for mu in partitions_of(k)
                 if _is_index(b, k, i, mu)
             ]
-            assert list(_boundary_indices(g, k)) == filtered, (g, k)
+            assert boundary_index_set(g, k) == filtered, (g, k)
 
 
 def test_first_index_is_the_least_feasible_index():

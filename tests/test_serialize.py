@@ -33,6 +33,7 @@ from hurwitzdiv import (
 )
 from hurwitzdiv.bigness import MODE_COARSE, MODE_STACK, no_divisor_certificate
 from hurwitzdiv.cli import main
+from hurwitzdiv.partitions import partition_table, transposition_power_vector
 from hurwitzdiv.serialize import (
     certificate_csv,
     certificate_from_obj,
@@ -44,6 +45,7 @@ from hurwitzdiv.serialize import (
     emit,
     hurwitz_class_csv,
     hurwitz_class_from_obj,
+    hurwitz_class_text,
     hurwitz_class_to_obj,
     json_rows_csv,
     parse_partition,
@@ -151,6 +153,23 @@ def test_hurwitz_class_absent_prime_flag_means_unmarked():
     assert all(entry["prime"] is False for entry in hurwitz_class_to_obj(bare)["coefficients"])
 
 
+def test_power_vector_and_class_text_share_the_partitions_of_the_table(monkeypatch):
+    rows = {row.mu.parts: row.mu for row in partition_table(6)}
+    assert all(nu is rows[nu.parts] for nu, _ in transposition_power_vector(6, 5))
+    printed = []
+    to_str = Partition.__str__
+
+    def recorded(mu):
+        printed.append(mu)
+        return to_str(mu)
+
+    monkeypatch.setattr(Partition, "__str__", recorded)
+    cls = canonical_class_coarse(5, 6)
+    lines = list(hurwitz_class_text(cls))
+    assert len(printed) == len(cls.coeffs) == len(lines) - 1
+    assert all(mu is rows[mu.parts] for mu in printed)
+
+
 def test_hurwitz_class_csv_layout():
     text = "".join(hurwitz_class_csv(hodge_class(2, 3)))
     lines = text.splitlines()
@@ -252,6 +271,10 @@ def test_certificate_decoder_rejects_a_verdict_its_margins_contradict():
         _edited(no_divisor, alpha="1"),
         _edited(no_divisor, indices=stack["indices"]),
         _edited(no_divisor, verdict="Certified"),
+        _edited(no_divisor, g="x"),
+        _edited(no_divisor, k=[1]),
+        _edited(no_divisor, mode="bogus"),
+        _edited(no_divisor, hypotheses=["anything"]),
     ):
         with pytest.raises(InputError):
             certificate_from_obj(obj)
@@ -520,10 +543,27 @@ def test_certificate_decoder_never_builds_the_index_set(monkeypatch, capsys, com
     def refuse(g, k):
         raise AssertionError(f"the index set of (g, k) = ({g}, {k}) was built")
 
-    monkeypatch.setattr(hurwitz, "_boundary_indices", refuse)
+    monkeypatch.setattr(hurwitz, "boundary_index_set", refuse)
     decoded = decode(payload)
     assert decoded.g == 10**30
     assert encode(decoded) == payload
+
+
+def test_decoders_name_themselves_once_in_a_semantic_error():
+    # InputError is a ValueError, so a generic clause would call it a wrong type
+    stack = certificate_to_obj(verify_stack(10, 4, best_recipe(10, 4)))
+    outside = _edited(stack)
+    outside["indices"][0]["i"] = 1
+    for decode, obj in (
+        (certificate_from_obj, _edited(stack, verdict="Failed")),
+        (certificate_from_obj, outside),
+        (scan_table_from_obj, _scan_payload(recipe="x")),
+    ):
+        with pytest.raises(InputError) as info:
+            decode(obj)
+        message = str(info.value)
+        assert message.startswith(f"{decode.__name__}: "), message
+        assert message.count(decode.__name__) == 1 and "wrong type" not in message, message
 
 
 def _scan_payload(**changes) -> dict:
