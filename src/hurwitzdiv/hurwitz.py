@@ -248,10 +248,18 @@ def _row_values(b: int, rows: dict, keys: Iterable[IndexKey]) -> Iterator[Fracti
         yield constant if constant is not None else Fraction(p * i * (b - i) + r, d)
 
 
-def _table_class(g: int, k: int, name: str) -> HurwitzClass:
-    """One row of the table as a class: its nonzero values in index order, sharp keys marked."""
-    b = _check_gk(g, k)
-    rows, keys = _class_terms(k)[name], [(i, mu.parts) for i, mu in boundary_index_set(g, k)]
+def _index_keys(g: int, k: int) -> list[IndexKey]:
+    """The keys (i, mu-parts) of `boundary_index_set(g, k)`, in index order."""
+    return [(i, mu.parts) for i, mu in boundary_index_set(g, k)]
+
+
+def _table_class(g: int, k: int, name: str, keys: list[IndexKey] | None = None) -> HurwitzClass:
+    """One row of the table as a class: its nonzero values in index order, sharp keys marked.
+
+    `keys` defaults to `_index_keys(g, k)`; a caller that walks them too passes its own.
+    """
+    b, rows = _check_gk(g, k), _class_terms(k)[name]
+    keys = _index_keys(g, k) if keys is None else keys
     coeffs = tuple(term for term in zip(keys, _row_values(b, rows, keys)) if term[1])
     return HurwitzClass(g, k, coeffs, frozenset(key for key, _ in coeffs if rows[key[1]][2]))
 
@@ -269,8 +277,13 @@ def branch_pullback_boundary(g: int, k: int, i: int) -> HurwitzClass:
     return branch_pullback(g, k, DivisorClass.make(space_m0b(b), {f"B_{i}": 1}))
 
 
-def _pullback_terms(g: int, k: int, divisor: DivisorClass) -> Iterator[tuple]:
-    """(key, m(mu), B_i weight of `divisor`) at every index (i, mu), in index order."""
+def _pullback_terms(
+    g: int, k: int, divisor: DivisorClass, keys: list[IndexKey] | None = None
+) -> Iterator[tuple]:
+    """(key, m(mu), B_i weight of `divisor`) at each key (i, mu-parts) of `keys`, in order.
+
+    `keys` defaults to `_index_keys(g, k)`, every index.
+    """
     b = _check_gk(g, k)
     if divisor.space.kind != KIND_M0B or divisor.space.b != b:
         raise InputError(f"the class must live on {KIND_M0B}(b={b}) for (g, k) = ({g}, {k}), "
@@ -278,7 +291,8 @@ def _pullback_terms(g: int, k: int, divisor: DivisorClass) -> Iterator[tuple]:
     values = divisor.as_dict()
     weights = [values.get(f"B_{i}", 0) for i in range(b // 2 + 1)]
     lcms = {row.mu.parts: row.lcm for row in partition_table(k)}
-    return (((i, mu.parts), lcms[mu.parts], weights[i]) for i, mu in boundary_index_set(g, k))
+    keys = _index_keys(g, k) if keys is None else keys
+    return ((key, lcms[key[1]], weights[key[0]]) for key in keys)
 
 
 def branch_pullback(g: int, k: int, divisor: DivisorClass) -> HurwitzClass:
@@ -299,9 +313,10 @@ def _canonical_class(g: int, k: int, name: str) -> HurwitzClass:
     of `canonical_class_m0b(b)`, and the coarse class sharp(mu) less.  As
     W_i = (b - 1) w_i is an integer, (b - 1) times each value is compared in integers.
     """
-    cls, b = _table_class(g, k, name), _check_gk(g, k)
+    b, keys = _check_gk(g, k), _index_keys(g, k)
+    cls = _table_class(g, k, name, keys)
     drops = {r.mu.parts: name == "coarse" and sharp_indicator(2, r.mu) for r in partition_table(k)}
-    terms = _pullback_terms(g, k, (b - 1) * canonical_class_m0b(b))
+    terms = _pullback_terms(g, k, (b - 1) * canonical_class_m0b(b), keys)
     expected = ((key, m * w.numerator + (m - 1 - drops[key[1]]) * (b - 1)) for key, m, w in terms)
     pairs = zip_longest(cls.coeffs, (term for term in expected if term[1]), fillvalue=(None,))
     if any(x[0] != y[0] or x[1].numerator * (b - 1) != y[1] * x[1].denominator for x, y in pairs):

@@ -17,12 +17,16 @@ whole text; `dumps_canonical` collects the same chunks into one string.  It
 writes only str, int, bool, None, list, map and dict with str keys, and
 raises InvariantError on any other value, a float or a tuple included,
 possibly after earlier chunks have been written.  A map is an array,
-consumed once as it is written: `emit` passes the row tables of a
-certificate and of a Hurwitz class as maps, so no command holds all of its
-JSON rows.  Every `*_to_obj` has a `*_from_obj` inverse (its row tables are
-lists) and the round trip is exact, NoDivisor certificates included; only
-the oracle report has no decoder.  The csv and text renderers are
-generators of LF-ended lines, which `emit` writes 1,024 at a time: every
+consumed once as it is written.  `emit` passes the row tables of a
+certificate and of a Hurwitz class as `_Table`s, arrays also consumed once,
+so no command holds all of its JSON rows.  Within one partition mu their
+rows differ only in `i` and the margin or value, so the writer renders one
+template row per row shape through `_put`, with the hole marker `_HOLE`, an
+object and not text, in those two fields, and fills each row in.  Every
+`*_to_obj` has a `*_from_obj` inverse (its row tables are lists) and the
+round trip is exact, NoDivisor certificates included; only the oracle
+report has no decoder.  The csv and text renderers are generators of
+LF-ended lines, which `emit` writes 1,024 at a time: every
 format goes out 1,024 rows or lines at a time, and an error while making
 one may follow earlier chunks, in any format.  CSV has a header row, and
 its columns are keys of the JSON rows (the cover-space class table adds
@@ -37,8 +41,9 @@ import functools
 import re
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from types import SimpleNamespace
 
 from . import __version__
@@ -217,27 +222,24 @@ def divisor_class_text(divisor: DivisorClass) -> Iterator[str]:
 # -- Hurwitz classes ---------------------------------------------------------
 
 
-def _coefficient_rows(cls: HurwitzClass) -> map:
-    """The JSON rows of the coefficients, each made as it is drawn."""
-
-    def row(coefficient: tuple[tuple[int, tuple[int, ...]], Fraction]) -> dict:
-        (i, parts), value = coefficient
-        return {
-            "i": i,
-            "mu": list(parts),
-            "prime": (i, parts) in cls.branch_marks,
-            "value": rational_str(value),
-        }
-
-    return map(row, cls.coeffs)
+def _coefficient_row(shape: tuple, values: tuple) -> dict:
+    (parts, prime), (i, value) = shape, values
+    return {"i": i, "mu": list(parts), "prime": prime, "value": value}
 
 
-def _hurwitz_class_obj(cls: HurwitzClass, rows: Callable[[map], Iterable] = iter) -> dict:
-    return {"g": cls.g, "k": cls.k, "coefficients": rows(_coefficient_rows(cls))}
+def _coefficient_rows(cls: HurwitzClass) -> _Table:
+    """The JSON rows of the coefficients, made as drawn; shape (mu, prime)."""
+    items = (((parts, (i, parts) in cls.branch_marks), (i, rational_str(value)))
+             for (i, parts), value in cls.coeffs)
+    return _Table(items, _coefficient_row)
+
+
+def _hurwitz_class_obj(cls: HurwitzClass) -> dict:
+    return {"g": cls.g, "k": cls.k, "coefficients": _coefficient_rows(cls)}
 
 
 def hurwitz_class_to_obj(cls: HurwitzClass) -> dict:
-    return _hurwitz_class_obj(cls, list)
+    return {**_hurwitz_class_obj(cls), "coefficients": list(_coefficient_rows(cls))}
 
 
 @_decoder
@@ -309,32 +311,42 @@ def recipe_text(recipe: DivisorRecipe) -> Iterator[str]:
 # -- certificates ------------------------------------------------------------
 
 
-def _index_row(entry: IndexMargin) -> dict:
+def _index_row(shape: tuple, values: tuple) -> dict:
+    (parts, sigma_bound, sharp, note), (i, margin) = shape, values
     return {
-        "i": entry.index.i,
-        "mu": list(entry.index.mu.parts),
-        "margin": rational_str(entry.margin),
-        "sigma_bound": rational_str(entry.sigma_bound),
-        "sharp": entry.sharp,
-        "note": entry.note,
+        "i": i,
+        "mu": list(parts),
+        "margin": margin,
+        "sigma_bound": rational_str(sigma_bound),
+        "sharp": sharp,
+        "note": note,
     }
 
 
-def _certificate_obj(cert: BignessCertificate, rows: Callable[[map], Iterable] = iter) -> dict:
+def _index_rows(cert: BignessCertificate) -> _Table:
+    """The JSON rows of the margins, made as drawn; shape (mu, sigma_bound, sharp, note)."""
+    items = (
+        ((e.index.mu.parts, e.sigma_bound, e.sharp, e.note), (e.index.i, rational_str(e.margin)))
+        for e in cert.per_index
+    )
+    return _Table(items, _index_row)
+
+
+def _certificate_obj(cert: BignessCertificate) -> dict:
     return {
         "g": cert.g,
         "k": cert.k,
         "mode": cert.mode,
         "slope": _optional_rational_str(cert.slope_used),
         "alpha": _optional_rational_str(cert.alpha),
-        "indices": rows(map(_index_row, cert.per_index)),
+        "indices": _index_rows(cert),
         "hypotheses": list(cert.hypotheses),
         "verdict": cert.verdict,
     }
 
 
 def certificate_to_obj(cert: BignessCertificate) -> dict:
-    return _certificate_obj(cert, list)
+    return {**_certificate_obj(cert), "indices": list(_index_rows(cert))}
 
 
 @_decoder
@@ -372,7 +384,7 @@ def certificate_from_obj(obj: dict) -> BignessCertificate:
 
 def certificate_csv(cert: BignessCertificate) -> Iterator[str]:
     columns = ["i", "mu", "margin", "sigma_bound", "sharp", "note"]
-    return json_rows_csv(columns, map(_index_row, cert.per_index))
+    return json_rows_csv(columns, _index_rows(cert))
 
 
 def certificate_text(cert: BignessCertificate) -> Iterator[str]:
@@ -555,11 +567,14 @@ def dumps_canonical(obj: dict) -> str:
 def write_canonical(obj: dict, write: Callable[[str], object]) -> None:
     """Pass the text of `dumps_canonical(obj)` to `write`, in order, in a few chunks.
 
-    Each call gets one join of pending pieces.  A list or map of more than
-    `_CHUNK` items, at the top or reached through objects, is written a
-    chunk of items at a time, so neither the text nor the items of a map
-    held at once grow with its length.  An error may come after some chunks
-    have been written.
+    Each call gets one join of pending pieces.  A list, map or `_Table` of
+    more than `_CHUNK` items, at the top or reached through objects, is
+    written a chunk of items at a time, so neither the text nor the items of
+    a map held at once grow with its length.  The rows of a `_Table` are
+    filled in from one template per row shape, which `_put` renders with
+    `_HOLE` in the varying fields (see `_filler`), so `_put` runs per shape
+    and per chunk, not per row.  An error may come after some chunks have
+    been written.
     """
     pending: list[str] = []
     _put(obj, 0, pending, write)
@@ -574,38 +589,100 @@ def _flush(out: list[str], write: Callable[[str], object]) -> None:
     write(text)
 
 
+# The text of a JSON scalar, by exact type, so a bool is no int (False and True index a pair).
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: repr,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+
+# A varying field of a row template.  It is an object, not text, so that no string can pass
+# for it: `_put` leaves it in its output as itself, and `_filler` cuts the template there.
+_HOLE = object()
+
+
+class _Table:
+    """A JSON array of rows, drawn once, that `_put` writes from one template per row shape.
+
+    `items` yields (shape, values) pairs, and `row(shape, values)` is the row
+    object: `values`, JSON scalars, fill its varying fields in the order of
+    their sorted keys, and the rest comes from `shape`.  Iterating a table
+    yields its row objects.
+    """
+
+    def __init__(self, items: Iterable[tuple], row: Callable[[tuple, tuple], dict]):
+        self.items, self.row = items, row
+
+    def __iter__(self) -> Iterator[dict]:
+        return starmap(self.row, self.items)
+
+
+def _filler(row: Callable, inner: str, depth: int) -> Callable[[tuple], str]:
+    """The text, `inner` first, of each (shape, values) item of a `_Table` of rows `row`.
+
+    The template of a shape is `_put`'s text of `row(shape, holes)`, with
+    `_HOLE` in each varying field, cut at the holes.  It is kept per
+    `shape[0]` and serves a later row only if that row's shape holds the very
+    same objects, so equal but distinct fields, such as 1 and True, never
+    share a template.  Each value goes in with `_put`'s scalar rendering.
+    """
+    templates = {}
+
+    def fill(item):
+        shape, values = item
+        known = templates.get(shape[0])
+        if known is None or not all(map(is_, known[0], shape)):
+            piece, texts = [inner], [""]
+            _put(row(shape, (_HOLE,) * len(values)), depth, piece, None)
+            for text in piece:
+                if text is _HOLE:
+                    texts.append("")
+                else:
+                    texts[-1] += text
+            known = templates[shape[0]] = (shape, texts.pop(0), texts)
+        text = known[1]
+        try:
+            for value, tail in zip(values, known[2]):
+                text += _SCALARS[type(value)](value) + tail
+        except KeyError:
+            raise InvariantError(f"no JSON encoding for a row value in {values!r}") from None
+        return text
+
+    return fill
+
+
 def _put(value, depth: int, out: list[str], write: Callable[[str], object] | None) -> None:
     """Append the text of one JSON value, in the layout of `json.dumps(sort_keys=True, indent=2)`.
 
-    `write` is passed down through objects only.  A list or map that has it
-    draws `_CHUNK` items at a time, joins each item, rendered with
-    `write=None`, into one piece, and writes `out` through `write` after
-    each chunk but the last.
+    `write` is passed down through objects only.  A list, map or `_Table`
+    draws `_CHUNK` items at a time and joins each item, rendered with
+    `write=None`, into one piece; with `write`, it writes `out` after each
+    chunk but the last.  The item of a `_Table` is filled in from the
+    template of its shape, and `_HOLE`, a varying field of a template row,
+    is appended as itself.
     """
     kind = type(value)
-    if kind is str:
-        out.append(encode_basestring_ascii(value))
-    elif kind is int:
-        out.append(repr(value))
-    elif kind is list or kind is map:
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        out.append(scalar(value))
+    elif kind is list or kind is map or kind is _Table:
         inner = "\n" + "  " * (depth + 1)
         out.append("[")
-        if write is None:
-            for item in value:
-                out.append(inner)
-                _put(item, depth + 1, out, None)
-                out.append(",")
-        else:
-            items = iter(value)
-            while chunk := list(islice(items, _CHUNK)):
-                if out[-1] == ",":  # an earlier chunk is pending
-                    _flush(out, write)
-                # one piece per item keeps the pieces of a chunk few and short-lived
-                for item in chunk:
+        fill = _filler(value.row, inner, depth + 1) if kind is _Table else None
+        items = iter(value.items if kind is _Table else value)
+        while chunk := list(islice(items, _CHUNK)):
+            if write is not None and out[-1] == ",":  # an earlier chunk is pending
+                _flush(out, write)
+            # one piece per item keeps the pieces of a chunk few and short-lived
+            for item in chunk:
+                if fill is not None:
+                    out += (fill(item), ",")
+                else:
                     piece = [inner]
                     _put(item, depth + 1, piece, None)
                     out += ("".join(piece), ",")
-                del chunk  # a map made these items: drop them before drawing more
+            del chunk  # a map made these items: drop them before drawing more
         # the last item's comma becomes the closing line; with no item, "[" closes at once
         out[-1] = "\n" + "  " * depth + "]" if out[-1] == "," else "[]"
     elif kind is dict:
@@ -624,11 +701,7 @@ def _put(value, depth: int, out: list[str], write: Callable[[str], object] | Non
             _put(item, depth + 1, out, write)
             out.append(",")
         out[-1] = "\n" + "  " * depth + "}"
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif value is None:
-        out.append("null")
+    elif value is _HOLE:
+        out.append(value)
     else:
         raise InvariantError(f"no JSON encoding for {kind.__name__} {value!r}")

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hurwitzdiv.hurwitz as hurwitz
+import hurwitzdiv.serialize as serialize
 from hurwitzdiv import (
     BignessCertificate,
     DivisorClass,
@@ -20,6 +21,7 @@ from hurwitzdiv import (
     Partition,
     QuadraticClass,
     best_recipe,
+    boundary_index_set,
     canonical_class_coarse,
     hodge_class,
     scan,
@@ -31,7 +33,7 @@ from hurwitzdiv import (
     __version__,
     weierstrass_class,
 )
-from hurwitzdiv.bigness import MODE_COARSE, MODE_STACK, no_divisor_certificate
+from hurwitzdiv.bigness import MODE_COARSE, MODE_STACK, IndexMargin, no_divisor_certificate
 from hurwitzdiv.cli import main
 from hurwitzdiv.partitions import partition_table, transposition_power_vector
 from hurwitzdiv.serialize import (
@@ -752,3 +754,154 @@ def test_write_canonical_writes_no_tuple_nor_iterable_but_a_map():
     for rows in (map(tuple, [[1]]), (row for row in [1]), iter([1]), range(1)):
         with pytest.raises(InvariantError):
             dumps_canonical({"rows": rows})
+
+
+# -- row tables written from one template per row shape ------------------------------
+
+
+def _emitted_and_listed(value) -> tuple[str, str]:
+    """The json `emit` writes for `value`, and `json.dumps` of the same envelope built of lists."""
+    to_obj = certificate_to_obj if isinstance(value, BignessCertificate) else hurwitz_class_to_obj
+    envelope = {
+        "command": "hurwitzdiv x",
+        "format": "json",
+        "payload": to_obj(value),
+        "payload_type": type(value).__name__,
+        "tool_version": __version__,
+    }
+    chunks: list[str] = []
+    emit(value, "json", ["x"], chunks.append)
+    return "".join(chunks), json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+
+
+def _rows_by_partition(cert: BignessCertificate) -> dict[tuple[int, ...], list[int]]:
+    """{mu: positions of its rows in `cert.per_index`}."""
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for n, entry in enumerate(cert.per_index):
+        rows.setdefault(entry.index.mu.parts, []).append(n)
+    return rows
+
+
+# A note with control characters, quotes, backslashes, non-ASCII and astral text, and one
+# holding the JSON text of a filled certificate row.
+_ODD_NOTES = [
+    '\x00\x1f\n\t"quoted" \\ / é ﻿\U0001d11e',
+    '\n    {\n      "i": 2,\n      "margin": "7/3",\n      "mu": [\n        3\n      ],'
+    '\n      "note": "",\n      "sharp": 0,\n      "sigma_bound": "0"\n    }',
+]
+
+
+def test_a_decoded_certificate_whose_rows_of_one_partition_differ_is_written_as_json_dumps():
+    obj = certificate_to_obj(verify_coarse(12, 4, best_recipe(12, 4)))
+    cert = certificate_from_obj(obj)
+    rows = [n for n in _rows_by_partition(cert).values() if len(n) >= 4]
+    assert len(rows) >= 3
+    for n in rows[0][1::2]:
+        obj["indices"][n]["sigma_bound"] = "5/2"
+    for n in rows[1][::3]:
+        obj["indices"][n]["sharp"] = 1 - obj["indices"][n]["sharp"]
+    for n, note in zip(rows[2], _ODD_NOTES + ["", "absorbed by ample term"] * 8):
+        obj["indices"][n]["note"] = note
+    edited = certificate_from_obj(obj)
+    assert certificate_to_obj(edited) == obj
+    emitted, listed = _emitted_and_listed(edited)
+    assert emitted == listed
+    assert json.loads(emitted)["payload"] == obj
+
+
+def test_rows_whose_fields_are_equal_but_distinct_are_written_as_json_dumps():
+    # within one partition the generated rows share their sigma, sharp and note objects;
+    # a row that holds an equal but distinct or a different field must not reuse its template
+    cert = verify_stack(10, 5, best_recipe(10, 5))
+    entries = list(cert.per_index)
+    rows = [n for n in _rows_by_partition(cert).values() if len(n) >= 3]
+    first, second, third = rows[0], rows[1], rows[2]
+    middle = first[len(first) // 2]
+    entries[middle] = entries[middle]._replace(note="".join(["absorbed ", "by ample term"]))
+    for n in second[1::2]:
+        entries[n] = entries[n]._replace(sharp=bool(entries[n].sharp))
+    for n, note in zip(third, _ODD_NOTES * 4):
+        entries[n] = entries[n]._replace(note=note, sigma_bound=F(n, 3))
+    changed = cert._replace(per_index=tuple(entries))
+    emitted, listed = _emitted_and_listed(changed)
+    assert emitted == listed
+    assert emitted.count('"sharp": false') + emitted.count('"sharp": true') == len(second[1::2])
+
+
+def test_a_class_marked_on_some_indices_of_a_partition_is_written_as_json_dumps():
+    cls = hodge_class(9, 4)
+    keys = [key for key, _ in cls.coeffs if key[1] == (2, 1, 1)]
+    assert len(keys) >= 4
+    marked = HurwitzClass.make(9, 4, dict(cls.coeffs), set(keys[::3]) | {keys[-1]})
+    assert 0 < len(marked.branch_marks) < len(keys)
+    emitted, listed = _emitted_and_listed(marked)
+    assert emitted == listed
+    primes = [row["prime"] for row in json.loads(emitted)["payload"]["coefficients"]
+              if row["mu"] == [2, 1, 1]]
+    assert primes == [key in marked.branch_marks for key in keys]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_drawn_certificates_and_classes_are_written_as_json_dumps(data):
+    # fields are drawn from small pools, so rows of one partition may share an object,
+    # hold an equal but distinct one (1 and True, two equal strings) or differ outright
+    g, k = data.draw(st.sampled_from([(2, 3), (3, 4), (4, 5)]))
+    indices = boundary_index_set(g, k)
+    notes = ["", "".join(["", ""]), *_ODD_NOTES, data.draw(_TEXT)]
+    sigmas = [F(0), F(1), F(2), F(1, 2)]
+    margins = st.fractions(max_denominator=50, min_value=-10, max_value=10)
+    entries = tuple(
+        IndexMargin(
+            index,
+            data.draw(margins),
+            data.draw(st.sampled_from(sigmas)),
+            data.draw(st.sampled_from([0, 1, True, False])),
+            data.draw(st.sampled_from(notes)),
+        )
+        for index in indices
+    )
+    cert = verify_stack(g, k, None)._replace(per_index=entries)
+    emitted, listed = _emitted_and_listed(cert)
+    assert emitted == listed
+    coeffs = {index.key: data.draw(margins) for index in indices}
+    marks = {key for key in coeffs if data.draw(st.booleans())}
+    emitted, listed = _emitted_and_listed(HurwitzClass.make(g, k, coeffs, marks))
+    assert emitted == listed
+
+
+@pytest.mark.parametrize("field", ["i", "note"])
+def test_a_row_field_with_no_json_encoding_raises_after_earlier_chunks(field):
+    # i fills a hole of the row template, and the note is part of the template itself
+    cert = verify_stack(200, 10, best_recipe(200, 10))
+    last = cert.per_index[-1]
+    if field == "i":
+        last = last._replace(index=last.index._replace(i=float(last.index.i)))
+    else:
+        last = last._replace(note=0.5)
+    broken = cert._replace(per_index=cert.per_index[:-1] + (last,))
+    chunks: list[str] = []
+    with pytest.raises(InvariantError, match="no JSON encoding"):
+        emit(broken, "json", ["x"], chunks.append)
+    assert len(chunks) == len(cert.per_index) // 1024
+
+
+def test_emitting_a_large_certificate_calls_put_per_row_shape_not_per_row(monkeypatch):
+    cert = verify_stack(1000, 10, best_recipe(1000, 10))
+    shapes = len(partition_table(10))
+    chunks = -(-len(cert.per_index) // 1024)
+    assert (shapes, chunks) == (42, 21)
+    put, calls = serialize._put, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return put(*args)
+
+    monkeypatch.setattr(serialize, "_put", counted)
+    written: list[str] = []
+    emit(cert, "json", ["x"], written.append)
+    # a row template is one row object of at most 17 JSON values; the rest of the envelope
+    # is a few dozen values; writing each of the 21,104 rows through `_put` took 244,298 calls
+    assert calls[0] <= 20 * (shapes + chunks), calls[0]
+    monkeypatch.undo()
+    assert "".join(written) == _emitted_and_listed(cert)[1]
